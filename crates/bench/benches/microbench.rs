@@ -5,9 +5,11 @@
 
 use rse_core::{Engine, RseConfig};
 use rse_isa::asm::assemble;
+use rse_isa::ModuleId;
 use rse_mem::{Cache, CacheConfig, MemConfig, MemorySystem};
 use rse_modules::ddt::{transition, DependencyMatrix, PageStatusTable};
-use rse_pipeline::{NullCoProcessor, Pipeline, PipelineConfig, StepEvent};
+use rse_modules::{Ahbm, AhbmConfig, Icm, IcmConfig, Mlr, MlrConfig};
+use rse_pipeline::{CheckPolicy, NullCoProcessor, Pipeline, PipelineConfig, StepEvent};
 use rse_support::bench::{black_box, Harness};
 
 fn bench_cache(c: &mut Harness) {
@@ -89,6 +91,33 @@ fn bench_pipeline_throughput(c: &mut Harness) {
             );
             cpu.load_image(&image);
             let mut engine = Engine::new(RseConfig::default());
+            assert_eq!(cpu.run(&mut engine, 10_000_000), StepEvent::Halted);
+            black_box(cpu.stats().cycles)
+        });
+    });
+    // The engine's real path, shaped like the campaign ICM harness: a
+    // blocking ICM CHECK before every control-flow instruction, with the
+    // MLR and AHBM enabled alongside. The case above enables no module,
+    // so it times only the engine's fast path.
+    group.bench_function("simulate_8k_instructions_with_icm", |b| {
+        b.iter(|| {
+            let mut cpu = Pipeline::new(
+                PipelineConfig {
+                    check_policy: CheckPolicy::ControlFlow,
+                    ..PipelineConfig::default()
+                },
+                MemorySystem::new(MemConfig::with_framework()),
+            );
+            cpu.load_image(&image);
+            let mut icm = Icm::new(IcmConfig::default());
+            icm.install_for_control_flow(&image, &mut cpu.mem_mut().memory);
+            let mut engine = Engine::new(RseConfig::default());
+            engine.install(Box::new(icm));
+            engine.install(Box::new(Mlr::new(MlrConfig::default())));
+            engine.install(Box::new(Ahbm::new(AhbmConfig::default())));
+            for id in [ModuleId::ICM, ModuleId::MLR, ModuleId::AHBM] {
+                engine.enable(id);
+            }
             assert_eq!(cpu.run(&mut engine, 10_000_000), StepEvent::Halted);
             black_box(cpu.stats().cycles)
         });

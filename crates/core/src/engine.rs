@@ -8,11 +8,12 @@ use crate::mau::Mau;
 use crate::module::{ChkDispatch, Module, ModuleCtx, Verdict};
 use crate::queues::{ExecuteOutEntry, FetchOutEntry, InputQueues};
 use crate::watchdog::{SafeModeCause, Watchdog};
+use crate::window::RobWindow;
 use rse_isa::chk::{ops, ChkSpec};
 use rse_isa::{Inst, ModuleId};
 use rse_mem::MemorySystem;
 use rse_pipeline::{CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, RobId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Base of the synthetic ROB-id range used for quarantine self-test
 /// probes (one sentinel id per module slot). Guest instructions are
@@ -28,6 +29,18 @@ pub fn probe_rob(id: ModuleId) -> RobId {
 
 fn probe_slot(rob: RobId) -> Option<usize> {
     (rob.0 >= PROBE_ROB_BASE).then(|| (rob.0 - PROBE_ROB_BASE) as usize)
+}
+
+// The enabled slots fit one bit each in a `u16`.
+const _: () = assert!(ModuleId::SLOTS <= 16);
+
+/// The slot indices whose bits are set in `mask`, in ascending order.
+fn slots_in(mut mask: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let idx = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (idx < ModuleId::SLOTS).then_some(idx)
+    })
 }
 
 /// The owning module of a CHECK entry kind.
@@ -142,34 +155,35 @@ pub struct Engine {
     mau: Mau,
     watchdog: Watchdog,
     slots: Vec<Option<Box<dyn Module>>>,
-    enabled: [bool; ModuleId::SLOTS],
+    /// Bit `i` set: module slot `i` is enabled. When no bit is set the
+    /// engine takes a fast path that skips input-queue and IOQ
+    /// bookkeeping for non-CHECK instructions (the latching is
+    /// architecturally unobservable with no module consuming it).
+    /// Entries latched before the last module went off are still freed
+    /// at commit and squash.
+    enabled: u16,
     pending_chk: VecDeque<PendingChk>,
     /// Scheduled IOQ writes: (visible_at, rob, error).
     pending_ioq: Vec<(u64, RobId, bool)>,
     exceptions: VecDeque<CoprocException>,
-    chk_meta: HashMap<RobId, ChkSpec>,
+    chk_meta: RobWindow<ChkSpec>,
     chk_fault: Option<ChkFault>,
     /// ROB ids whose CHECK was force-NOP'd by the per-module output
     /// multiplexer (module quarantined/disabled at dispatch or while the
     /// entry was in flight).
-    nop_chks: HashSet<RobId>,
+    nop_chks: RobWindow<()>,
     /// In-flight quarantine self-test probes, one slot per module.
     probes: [Option<ProbeFlight>; ModuleId::SLOTS],
     /// Scheduled module-state corruptions: (module, at_cycle, seed).
     module_corruptions: Vec<(ModuleId, u64, u64)>,
     stats: RseStats,
-    /// Cached: is any module slot enabled? When false the engine takes a
-    /// fast path that skips input-queue and IOQ bookkeeping for non-CHECK
-    /// instructions (the latching is architecturally unobservable with no
-    /// module consuming it).
-    any_enabled: bool,
 }
 
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("config", &self.config)
-            .field("enabled", &self.enabled)
+            .field("enabled", &format_args!("{:#06x}", self.enabled))
             .field("stats", &self.stats)
             .field("safe_mode", &self.watchdog.safe_mode())
             .finish_non_exhaustive()
@@ -188,17 +202,16 @@ impl Engine {
             mau: Mau::new(),
             watchdog: Watchdog::new(config.watchdog),
             slots: (0..ModuleId::SLOTS).map(|_| None).collect(),
-            enabled: [false; ModuleId::SLOTS],
+            enabled: 0,
             pending_chk: VecDeque::new(),
             pending_ioq: Vec::new(),
             exceptions: VecDeque::new(),
-            chk_meta: HashMap::new(),
+            chk_meta: RobWindow::unbounded(config.queue_entries),
             chk_fault: None,
-            nop_chks: HashSet::new(),
+            nop_chks: RobWindow::unbounded(config.queue_entries),
             probes: [None; ModuleId::SLOTS],
             module_corruptions: Vec::new(),
             stats: RseStats::default(),
-            any_enabled: false,
         }
     }
 
@@ -220,19 +233,22 @@ impl Engine {
     /// Enables a module slot directly (equivalent to committing an
     /// `ENABLE` CHECK).
     pub fn enable(&mut self, id: ModuleId) {
-        self.enabled[id.index()] = true;
-        self.any_enabled = true;
+        self.enabled |= 1 << id.index();
     }
 
     /// Disables a module slot directly.
     pub fn disable(&mut self, id: ModuleId) {
-        self.enabled[id.index()] = false;
-        self.any_enabled = self.enabled.iter().any(|e| *e);
+        self.enabled &= !(1 << id.index());
+    }
+
+    /// Whether any slot is enabled.
+    fn any_enabled(&self) -> bool {
+        self.enabled != 0
     }
 
     /// Whether the slot is enabled.
     pub fn is_enabled(&self, id: ModuleId) -> bool {
-        self.enabled[id.index()]
+        self.enabled & (1 << id.index()) != 0
     }
 
     /// Typed access to an installed module (for system software reading
@@ -321,6 +337,11 @@ impl Engine {
         &self.ioq
     }
 
+    /// The input queues (inspection).
+    pub fn queues(&self) -> &InputQueues {
+        &self.queues
+    }
+
     /// The MAU (inspection).
     pub fn mau(&self) -> &Mau {
         &self.mau
@@ -339,10 +360,7 @@ impl Engine {
         skip_down: bool,
         mut f: impl FnMut(&mut dyn Module, &mut ModuleCtx<'_>),
     ) {
-        for idx in 0..self.slots.len() {
-            if !self.enabled[idx] {
-                continue;
-            }
+        for idx in slots_in(self.enabled) {
             if skip_down
                 && self
                     .watchdog
@@ -378,7 +396,7 @@ impl Engine {
         f: impl FnOnce(&mut dyn Module, &mut ModuleCtx<'_>),
     ) {
         let idx = id.index();
-        if !self.enabled[idx] {
+        if !self.is_enabled(id) {
             return;
         }
         let Some(mut module) = self.slots[idx].take() else {
@@ -404,14 +422,8 @@ impl Engine {
             return;
         }
         match spec.op {
-            ops::ENABLE => {
-                self.enabled[spec.module.index()] = true;
-                self.any_enabled = true;
-            }
-            ops::DISABLE => {
-                self.enabled[spec.module.index()] = false;
-                self.any_enabled = self.enabled.iter().any(|e| *e);
-            }
+            ops::ENABLE => self.enable(spec.module),
+            ops::DISABLE => self.disable(spec.module),
             _ => {}
         }
     }
@@ -421,7 +433,7 @@ impl Engine {
     fn routed_to_module(&self, spec: &ChkSpec) -> bool {
         spec.op != ops::ENABLE
             && spec.op != ops::DISABLE
-            && self.enabled[spec.module.index()]
+            && self.is_enabled(spec.module)
             && self.slots[spec.module.index()].is_some()
     }
 
@@ -467,7 +479,7 @@ impl Engine {
                     // healed module is not immediately re-charged with
                     // their (inevitable) timeouts.
                     for rob in self.ioq.incomplete_for(id) {
-                        self.nop_chks.insert(rob);
+                        self.nop_chks.insert(rob, ());
                     }
                 }
                 Some(false) => {
@@ -484,10 +496,9 @@ impl Engine {
     /// synthetic blocking CHECK with the common `SELFTEST` op, delivered
     /// through the ordinary module interface.
     fn launch_probes(&mut self, now: u64, mem: &mut MemorySystem) {
-        for slot in 0..ModuleId::SLOTS {
+        for slot in slots_in(self.enabled) {
             let id = ModuleId::new(slot as u8);
             if self.probes[slot].is_some()
-                || !self.enabled[slot]
                 || self.slots[slot].is_none()
                 || !self.watchdog.probe_due(id, now)
             {
@@ -512,7 +523,7 @@ impl Engine {
 
 impl CoProcessor for Engine {
     fn on_dispatch(&mut self, now: u64, info: &DispatchInfo, mem: &mut MemorySystem) {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             // Fast path: no module consumes the input queues; only CHECK
             // bookkeeping (enable requests) is architecturally relevant.
             if let Inst::Chk(spec) = info.inst {
@@ -520,7 +531,7 @@ impl CoProcessor for Engine {
                 self.stats.chk_passthrough += 1;
                 self.chk_meta.insert(info.rob, spec);
                 self.apply_enable_at_dispatch(&spec, info.wrong_path);
-                if self.any_enabled {
+                if self.any_enabled() {
                     // The slot just turned on; fall through so this and
                     // subsequent instructions are latched normally.
                     self.ioq.allocate(now, info.rob, IoqEntryKind::Plain);
@@ -609,7 +620,7 @@ impl CoProcessor for Engine {
                 // The module is quarantined/disabled by the containment
                 // multiplexer: the CHECK commits as a NOP (constant `10`)
                 // and the module never sees it.
-                self.nop_chks.insert(info.rob);
+                self.nop_chks.insert(info.rob, ());
                 self.ioq.allocate(now, info.rob, IoqEntryKind::Plain);
             } else {
                 // Enable/disable requests and CHECKs to disabled/absent
@@ -626,7 +637,7 @@ impl CoProcessor for Engine {
     }
 
     fn on_execute(&mut self, now: u64, info: &ExecuteInfo, mem: &mut MemorySystem) {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return;
         }
         self.queues.execute_out.insert(
@@ -655,27 +666,23 @@ impl CoProcessor for Engine {
             }
         }
         // Enable/disable becomes architectural at commit.
-        if !self.chk_meta.is_empty() {
-            if let Some(spec) = self.chk_meta.remove(&rob) {
-                match spec.op {
-                    ops::ENABLE => {
-                        self.enabled[spec.module.index()] = true;
-                        self.any_enabled = true;
-                        self.stats.enables += 1;
-                    }
-                    ops::DISABLE => {
-                        self.enabled[spec.module.index()] = false;
-                        self.any_enabled = self.enabled.iter().any(|e| *e);
-                        self.stats.disables += 1;
-                    }
-                    _ => {}
+        if let Some(spec) = self.chk_meta.remove(rob) {
+            match spec.op {
+                ops::ENABLE => {
+                    self.enable(spec.module);
+                    self.stats.enables += 1;
                 }
+                ops::DISABLE => {
+                    self.disable(spec.module);
+                    self.stats.disables += 1;
+                }
+                _ => {}
             }
         }
         // Containment bookkeeping: count mux-forced NOP commits, and let
         // the watchdog reset a module's symptom windows on a clean,
         // module-written passing commit.
-        if self.nop_chks.remove(&rob) {
+        if self.nop_chks.remove(rob).is_some() {
             self.stats.chk_nop_committed += 1;
         } else if let Some((kind, wrote, check)) = self.ioq.entry_state(rob) {
             if let Some(m) = kind_module(kind) {
@@ -688,24 +695,14 @@ impl CoProcessor for Engine {
                 }
             }
         }
-        if !self.any_enabled {
-            self.ioq.free(rob);
-            return;
-        }
         self.for_each_module(now, mem, false, |m, ctx| m.on_commit(rob, ctx));
         self.queues.retire(rob, false);
         self.ioq.free(rob);
     }
 
     fn on_squash(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
-        if !self.any_enabled {
-            if !self.chk_meta.is_empty() {
-                self.chk_meta.remove(&rob);
-            }
-            return;
-        }
-        self.chk_meta.remove(&rob);
-        self.nop_chks.remove(&rob);
+        self.chk_meta.remove(rob);
+        self.nop_chks.remove(rob);
         self.pending_chk.retain(|p| p.chk.rob != rob);
         self.pending_ioq.retain(|(_, r, _)| *r != rob);
         self.for_each_module(now, mem, false, |m, ctx| m.on_squash(rob, ctx));
@@ -714,7 +711,7 @@ impl CoProcessor for Engine {
     }
 
     fn commit_gate(&mut self, now: u64, rob: RobId) -> CommitGate {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return CommitGate::Pass;
         }
         if self.watchdog.is_decoupled() {
@@ -725,13 +722,13 @@ impl CoProcessor for Engine {
         // Per-module output multiplexer (§3.4): a CHECK owned by a
         // quarantined/disabled module is forced to `10` and commits as a
         // NOP, whatever its real bits say.
-        if self.nop_chks.contains(&rob) {
+        if self.nop_chks.contains(rob) {
             return CommitGate::PassNop;
         }
         let src = self.ioq.entry_kind(rob).and_then(kind_module);
         if let Some(m) = src {
             if self.watchdog.module_down(m) {
-                self.nop_chks.insert(rob);
+                self.nop_chks.insert(rob, ());
                 return CommitGate::PassNop;
             }
         }
@@ -751,7 +748,7 @@ impl CoProcessor for Engine {
                     if self.watchdog.module_down(m) {
                         // The burst quarantined the module: the mux now
                         // forces its output to `10`.
-                        self.nop_chks.insert(rob);
+                        self.nop_chks.insert(rob, ());
                         return CommitGate::PassNop;
                     }
                 }
@@ -765,7 +762,7 @@ impl CoProcessor for Engine {
                         self.watchdog.record_premature_pass(now, src);
                         if let Some(m) = src {
                             if self.watchdog.module_down(m) {
-                                self.nop_chks.insert(rob);
+                                self.nop_chks.insert(rob, ());
                                 return CommitGate::PassNop;
                             }
                         }
@@ -778,26 +775,22 @@ impl CoProcessor for Engine {
     }
 
     fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
-        if !self.any_enabled {
+        if !self.any_enabled() {
             return;
         }
-        // Apply scheduled module-state corruptions (fault injection).
-        if !self.module_corruptions.is_empty() {
-            let due: Vec<(ModuleId, u64, u64)> = self
-                .module_corruptions
-                .iter()
-                .copied()
-                .filter(|(_, at, _)| *at <= now)
-                .collect();
-            self.module_corruptions.retain(|(_, at, _)| *at > now);
-            for (id, _, seed) in due {
-                if let Some(module) = self.slots[id.index()].as_deref_mut() {
-                    if module.corrupt_state(seed) {
-                        self.stats.module_corruptions_applied += 1;
-                    }
+        // Apply scheduled module-state corruptions (fault injection), in
+        // scheduling order.
+        self.module_corruptions.retain(|&(id, at, seed)| {
+            if at > now {
+                return true;
+            }
+            if let Some(module) = self.slots[id.index()].as_deref_mut() {
+                if module.corrupt_state(seed) {
+                    self.stats.module_corruptions_applied += 1;
                 }
             }
-        }
+            false
+        });
         // Deliver CHECKs whose Fetch_Out scan delay has elapsed. A
         // quarantined module is disconnected from the scan: its CHECKs
         // are dropped here and their IOQ entries NOP at commit.
@@ -817,17 +810,14 @@ impl CoProcessor for Engine {
         // Modules advance their internal pipelines (including
         // quarantined ones, so self-test probes get answered).
         self.for_each_module(now, mem, false, |m, ctx| m.tick(ctx));
-        // Apply module results whose broadcast delay has elapsed. Writes
-        // to the probe sentinel ROB range are self-test responses and are
-        // routed to the probe bookkeeping instead of the IOQ.
-        let due: Vec<(u64, RobId, bool)> = self
-            .pending_ioq
-            .iter()
-            .copied()
-            .filter(|(at, ..)| *at <= now)
-            .collect();
-        self.pending_ioq.retain(|(at, ..)| *at > now);
-        for (_, rob, error) in due {
+        // Apply module results whose broadcast delay has elapsed, in
+        // write order. Writes to the probe sentinel ROB range are
+        // self-test responses and are routed to the probe bookkeeping
+        // instead of the IOQ.
+        self.pending_ioq.retain(|&(at, rob, error)| {
+            if at > now {
+                return true;
+            }
             if let Some(slot) = probe_slot(rob) {
                 if let Some(flight) = self.probes.get_mut(slot).and_then(|f| f.as_mut()) {
                     flight.response = Some(if error { Verdict::Fail } else { Verdict::Pass });
@@ -835,7 +825,8 @@ impl CoProcessor for Engine {
             } else {
                 self.ioq.complete(now, rob, error);
             }
-        }
+            false
+        });
         // Self-checking: per-module timeout attribution and quiet decay.
         self.watchdog.tick(now, &self.ioq);
         // Probe lifecycle (suppressed entirely in global safe mode).

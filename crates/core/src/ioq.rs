@@ -14,10 +14,14 @@
 //! §3.4 monitors: allocation time, the time of the 0→1 `checkValid`
 //! transition, and whether a module (as opposed to a stuck-at fault)
 //! produced the bits.
+//!
+//! Entries live in a ROB-ordered [`RobWindow`] (the paper indexes the
+//! IOQ by ROB entry number, §3.1), so the watchdog scans them in ROB
+//! order without sorting.
 
+use crate::window::RobWindow;
 use rse_isa::ModuleId;
 use rse_pipeline::{CommitGate, RobId};
-use std::collections::HashMap;
 
 /// What kind of instruction an IOQ entry was allocated for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,10 +87,9 @@ struct IoqEntry {
 }
 
 /// The Instruction Output Queue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Ioq {
-    entries: HashMap<RobId, IoqEntry>,
-    capacity: usize,
+    entries: RobWindow<IoqEntry>,
     fault: Option<IoqFault>,
     /// A stuck-at fault confined to the output bits of one module's
     /// CHECK entries (the module-targeted campaign fault models); other
@@ -110,8 +113,11 @@ impl Ioq {
     /// Creates an IOQ with `capacity` entries (the ROB size).
     pub fn new(capacity: usize) -> Ioq {
         Ioq {
-            capacity,
-            ..Ioq::default()
+            entries: RobWindow::new(capacity),
+            fault: None,
+            module_fault: None,
+            allocated_total: 0,
+            error_verdicts: 0,
         }
     }
 
@@ -166,35 +172,31 @@ impl Ioq {
     /// have more in-flight instructions than ROB entries, so this
     /// indicates a bookkeeping bug.
     pub fn allocate(&mut self, now: u64, rob: RobId, kind: IoqEntryKind) {
-        assert!(
-            self.entries.len() < self.capacity,
-            "IOQ overflow: more entries than the ROB"
-        );
         let (check_valid, check) = match kind {
             // Table 1: non-CHECK instructions start at `10`.
             IoqEntryKind::Plain => (true, false),
             // CHECK instructions start at `00`.
             IoqEntryKind::BlockingChk(_) | IoqEntryKind::NonBlockingChk(_) => (false, false),
         };
+        let entry = IoqEntry {
+            kind,
+            check_valid,
+            check,
+            allocated_at: now,
+            valid_set_at: check_valid.then_some(now),
+            module_wrote: false,
+        };
+        if self.entries.try_insert(rob, entry).is_err() {
+            panic!("IOQ overflow: more entries than the ROB");
+        }
         self.allocated_total += 1;
-        self.entries.insert(
-            rob,
-            IoqEntry {
-                kind,
-                check_valid,
-                check,
-                allocated_at: now,
-                valid_set_at: check_valid.then_some(now),
-                module_wrote: false,
-            },
-        );
     }
 
     /// A module (or the enable/disable unit, or the asynchronous-mode
     /// fast path) writes the result bits for `rob`: `error` selects the
     /// `check` bit, and `checkValid` is set.
     pub fn complete(&mut self, now: u64, rob: RobId, error: bool) {
-        if let Some(e) = self.entries.get_mut(&rob) {
+        if let Some(e) = self.entries.get_mut(rob) {
             if !e.check_valid {
                 e.valid_set_at = Some(now);
             }
@@ -209,14 +211,14 @@ impl Ioq {
 
     /// Frees the entry for a committed or squashed instruction.
     pub fn free(&mut self, rob: RobId) {
-        self.entries.remove(&rob);
+        self.entries.remove(rob);
     }
 
     /// Reads the commit gate for `rob`, applying any injected stuck-at
     /// fault to the observed bits (the fault sits on the output wires to
     /// the commit unit, exactly as in Table 2).
     pub fn gate(&self, rob: RobId) -> CommitGate {
-        let Some(e) = self.entries.get(&rob) else {
+        let Some(e) = self.entries.get(rob) else {
             // Untracked instruction (allocated before the engine attached):
             // behaves like `10`.
             return CommitGate::Pass;
@@ -245,32 +247,25 @@ impl Ioq {
     /// exactly how §3.4 detects a stuck-at-0 `checkValid` (it looks like
     /// a module that never makes progress).
     ///
-    /// Entries come out in ascending ROB order, not hash-map order: when
-    /// several modules time out in the same cycle, the anomaly charge
-    /// sequence (and hence the health state machine's event order) must
-    /// not depend on `HashMap` iteration.
+    /// Entries come out in ascending ROB order: when several modules
+    /// time out in the same cycle, the anomaly charge sequence (and hence
+    /// the health state machine's event order) is program order.
     pub fn watchdog_view(
         &self,
     ) -> impl Iterator<Item = (RobId, IoqEntryKind, u64, bool, bool)> + '_ {
-        let mut view: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(rob, e)| {
-                let valid = match self.effective_fault(e.kind) {
-                    Some(IoqFault::ValidStuck0) => false,
-                    Some(IoqFault::ValidStuck1) => true,
-                    _ => e.check_valid,
-                };
-                (*rob, e.kind, e.allocated_at, valid, e.module_wrote)
-            })
-            .collect();
-        view.sort_unstable_by_key(|&(rob, ..)| rob);
-        view.into_iter()
+        self.entries.iter().map(|(rob, e)| {
+            let valid = match self.effective_fault(e.kind) {
+                Some(IoqFault::ValidStuck0) => false,
+                Some(IoqFault::ValidStuck1) => true,
+                _ => e.check_valid,
+            };
+            (rob, e.kind, e.allocated_at, valid, e.module_wrote)
+        })
     }
 
     /// The kind of a live entry.
     pub fn entry_kind(&self, rob: RobId) -> Option<IoqEntryKind> {
-        self.entries.get(&rob).map(|e| e.kind)
+        self.entries.get(rob).map(|e| e.kind)
     }
 
     /// Raw `(kind, module_wrote, check)` of a live entry — the
@@ -278,23 +273,20 @@ impl Ioq {
     /// commits, NOP-mux accounting).
     pub fn entry_state(&self, rob: RobId) -> Option<(IoqEntryKind, bool, bool)> {
         self.entries
-            .get(&rob)
+            .get(rob)
             .map(|e| (e.kind, e.module_wrote, e.check))
     }
 
     /// Live CHECK entries of `module` whose result was never written by
-    /// the module. When a module heals out of quarantine these stale
-    /// entries would stall commit forever (their CHECKs were dropped
-    /// while decoupled), so the engine force-NOPs them.
-    pub fn incomplete_for(&self, module: ModuleId) -> Vec<RobId> {
-        let mut robs: Vec<RobId> = self
-            .entries
+    /// the module, in ascending ROB order. When a module heals out of
+    /// quarantine these stale entries would stall commit forever (their
+    /// CHECKs were dropped while decoupled), so the engine force-NOPs
+    /// them.
+    pub fn incomplete_for(&self, module: ModuleId) -> impl Iterator<Item = RobId> + '_ {
+        self.entries
             .iter()
-            .filter(|(_, e)| entry_module(e.kind) == Some(module) && !e.module_wrote)
-            .map(|(rob, _)| *rob)
-            .collect();
-        robs.sort_unstable();
-        robs
+            .filter(move |(_, e)| entry_module(e.kind) == Some(module) && !e.module_wrote)
+            .map(|(rob, _)| rob)
     }
 }
 
@@ -421,8 +413,8 @@ mod tests {
         ioq.allocate(0, RobId(3), IoqEntryKind::BlockingChk(ModuleId::MLR));
         ioq.allocate(0, RobId(4), IoqEntryKind::Plain);
         ioq.complete(1, RobId(2), true);
-        assert_eq!(ioq.incomplete_for(M), vec![RobId(1)]);
-        assert_eq!(ioq.incomplete_for(ModuleId::MLR), vec![RobId(3)]);
+        assert!(ioq.incomplete_for(M).eq([RobId(1)]));
+        assert!(ioq.incomplete_for(ModuleId::MLR).eq([RobId(3)]));
         assert_eq!(
             ioq.entry_state(RobId(2)),
             Some((IoqEntryKind::NonBlockingChk(M), true, true))

@@ -11,7 +11,7 @@
 //! * the **input interface** ([`queues`]) — five input queues
 //!   (`Fetch_Out`, `Regfile_Data`, `Execute_Out`, `Memory_Out`,
 //!   `Commit_Out`), each with as many entries as the reorder buffer
-//!   (§3.1),
+//!   (§3.1), each a ROB-ordered [`RobWindow`] ([`window`]),
 //! * the **Instruction Output Queue** ([`ioq`]) — per-instruction
 //!   `check`/`checkValid` bits with exactly the Table 1 semantics, gating
 //!   instruction commit,
@@ -65,6 +65,7 @@ pub mod module;
 pub mod queues;
 pub mod testutil;
 pub mod watchdog;
+pub mod window;
 
 pub use config::RseConfig;
 pub use engine::{probe_rob, ChkFault, Engine, RseStats, PROBE_ROB_BASE};
@@ -73,3 +74,4 @@ pub use ioq::{Ioq, IoqEntryKind, IoqFault};
 pub use mau::{Mau, MauOp, MauRequest};
 pub use module::{ChkDispatch, Module, ModuleCtx, Verdict};
 pub use watchdog::{SafeModeCause, Watchdog, WatchdogConfig};
+pub use window::RobWindow;

@@ -2,13 +2,14 @@
 //!
 //! Each queue has one entry per reorder-buffer slot, indexed by the
 //! instruction's unique identifier (the paper uses the ROB entry number;
-//! we use the dispatch sequence [`RobId`]). `Commit_Out` carries the
-//! commit/squash indications used to free entries in the other queues —
-//! modeled here as the `retire` operation plus counters.
+//! we use the dispatch sequence [`RobId`]) and held in a ROB-ordered
+//! [`RobWindow`]. `Commit_Out` carries the commit/squash indications
+//! used to free entries in the other queues — modeled here as the
+//! `retire` operation plus counters.
 
+use crate::window::RobWindow;
 use rse_isa::Inst;
 use rse_pipeline::RobId;
-use std::collections::HashMap;
 
 /// One entry of the `Fetch_Out` queue: the fetched instruction as the
 /// pipeline saw it.
@@ -39,8 +40,7 @@ pub struct ExecuteOutEntry {
 #[derive(Debug)]
 pub struct InputQueue<T> {
     name: &'static str,
-    entries: HashMap<RobId, T>,
-    capacity: usize,
+    entries: RobWindow<T>,
     /// Total entries ever written.
     pub writes: u64,
     /// Maximum simultaneous occupancy observed.
@@ -52,8 +52,7 @@ impl<T> InputQueue<T> {
     pub fn new(name: &'static str, capacity: usize) -> InputQueue<T> {
         InputQueue {
             name,
-            entries: HashMap::new(),
-            capacity,
+            entries: RobWindow::new(capacity),
             writes: 0,
             high_water: 0,
         }
@@ -71,24 +70,21 @@ impl<T> InputQueue<T> {
     /// Panics on overflow — the pipeline guarantees at most ROB-many
     /// in-flight instructions.
     pub fn insert(&mut self, rob: RobId, value: T) {
-        assert!(
-            self.entries.len() < self.capacity || self.entries.contains_key(&rob),
-            "{} queue overflow",
-            self.name
-        );
-        self.entries.insert(rob, value);
+        if self.entries.try_insert(rob, value).is_err() {
+            panic!("{} queue overflow", self.name);
+        }
         self.writes += 1;
         self.high_water = self.high_water.max(self.entries.len());
     }
 
     /// Reads the entry for `rob`.
     pub fn get(&self, rob: RobId) -> Option<&T> {
-        self.entries.get(&rob)
+        self.entries.get(rob)
     }
 
     /// Frees the entry for `rob` (driven by `Commit_Out`).
     pub fn remove(&mut self, rob: RobId) -> Option<T> {
-        self.entries.remove(&rob)
+        self.entries.remove(rob)
     }
 
     /// Current occupancy.
@@ -102,12 +98,9 @@ impl<T> InputQueue<T> {
     }
 
     /// Iterates over `(rob, entry)` pairs (the modules' scan mechanism)
-    /// in ascending ROB order — module scans must behave identically
-    /// run to run, so hash-map iteration order never leaks out.
+    /// in ascending ROB order.
     pub fn iter(&self) -> impl Iterator<Item = (RobId, &T)> {
-        let mut view: Vec<_> = self.entries.iter().map(|(k, v)| (*k, v)).collect();
-        view.sort_unstable_by_key(|&(k, _)| k);
-        view.into_iter()
+        self.entries.iter()
     }
 }
 

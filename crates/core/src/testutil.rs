@@ -3,10 +3,10 @@
 //! [`ScriptedModule`]).
 
 use crate::module::{ChkDispatch, Module, ModuleCtx, Verdict};
+use crate::window::RobWindow;
 use rse_isa::ModuleId;
 use rse_pipeline::{DispatchInfo, RobId};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// A module that counts everything it sees and immediately passes every
 /// blocking CHECK. Handy for wiring tests.
@@ -29,7 +29,7 @@ pub struct CountingModule {
     pub last_operands: [u32; 2],
     /// Parameter of the most recent CHECK.
     pub last_param: u16,
-    chk_robs: HashMap<RobId, ()>,
+    chk_robs: RobWindow<()>,
 }
 
 impl CountingModule {
@@ -45,7 +45,7 @@ impl CountingModule {
             ticks: 0,
             last_operands: [0, 0],
             last_param: 0,
-            chk_robs: HashMap::new(),
+            chk_robs: RobWindow::unbounded(0),
         }
     }
 }
@@ -78,13 +78,13 @@ impl Module for CountingModule {
     }
 
     fn on_commit(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        if self.chk_robs.remove(&rob).is_some() {
+        if self.chk_robs.remove(rob).is_some() {
             self.chk_commits += 1;
         }
     }
 
     fn on_squash(&mut self, rob: RobId, _ctx: &mut ModuleCtx<'_>) {
-        self.chk_robs.remove(&rob);
+        self.chk_robs.remove(rob);
         self.squashes += 1;
     }
 

@@ -27,9 +27,10 @@
 
 use crate::health::{AnomalyKind, HealthConfig, HealthEvent, HealthState, ModuleHealth};
 use crate::ioq::{Ioq, IoqEntryKind};
+use crate::window::RobWindow;
 use rse_isa::ModuleId;
 use rse_pipeline::RobId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Watchdog parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +135,7 @@ pub struct Watchdog {
     last_timeout_rob: [Option<RobId>; ModuleId::SLOTS],
     /// Last cycle at which a still-live entry was charged a timeout, so
     /// the timer re-arms instead of firing every cycle.
-    timeout_marks: HashMap<RobId, u64>,
+    timeout_marks: RobWindow<u64>,
     hang_fired: bool,
     /// Total global safe-mode entries (0 or 1 per run; kept as a counter
     /// for the fault-injection campaign's bookkeeping).
@@ -158,7 +159,7 @@ impl Watchdog {
             module_flushes: std::array::from_fn(|_| VecDeque::new()),
             module_prematures: [0; ModuleId::SLOTS],
             last_timeout_rob: [None; ModuleId::SLOTS],
-            timeout_marks: HashMap::new(),
+            timeout_marks: RobWindow::unbounded(0),
             hang_fired: false,
             trips: 0,
             hangs: 0,
@@ -362,34 +363,35 @@ impl Watchdog {
         if self.safe_mode.is_some() {
             return;
         }
-        let mut live: Vec<RobId> = Vec::new();
-        let mut fired: Vec<(ModuleId, RobId)> = Vec::new();
+        // Drop the marks of freed entries. Both windows are in ROB
+        // order, so one merge pass finds them.
+        if !self.timeout_marks.is_empty() {
+            let mut live = ioq.watchdog_view().map(|(rob, ..)| rob).peekable();
+            self.timeout_marks.retain(|rob, _| {
+                while live.next_if(|&r| r < rob).is_some() {}
+                live.peek() == Some(&rob)
+            });
+        }
+        // Every entry is judged against the module states at the start
+        // of the cycle, even when an older entry's timeout quarantines
+        // its module on the way.
+        let down: [bool; ModuleId::SLOTS] =
+            std::array::from_fn(|i| self.health[i].state().is_down());
         for (rob, kind, allocated_at, check_valid, _wrote) in ioq.watchdog_view() {
-            live.push(rob);
             let IoqEntryKind::BlockingChk(id) = kind else {
                 continue;
             };
-            if check_valid || self.module_down(id) {
+            if check_valid || down[id.index()] {
                 continue;
             }
             // Re-arming timer: charge at `allocated_at + timeout + 1`,
             // then again every `timeout` cycles while still stuck.
-            let armed_since = self
-                .timeout_marks
-                .get(&rob)
-                .copied()
-                .unwrap_or(allocated_at);
+            let armed_since = self.timeout_marks.get(rob).copied().unwrap_or(allocated_at);
             if now.saturating_sub(armed_since) > self.config.timeout {
-                fired.push((id, rob));
+                self.timeout_marks.insert(rob, now);
+                self.last_timeout_rob[id.index()] = Some(rob);
+                self.anomaly(id, now, AnomalyKind::Timeout);
             }
-        }
-        for (id, rob) in fired {
-            self.timeout_marks.insert(rob, now);
-            self.last_timeout_rob[id.index()] = Some(rob);
-            self.anomaly(id, now, AnomalyKind::Timeout);
-        }
-        if !self.timeout_marks.is_empty() {
-            self.timeout_marks.retain(|rob, _| live.contains(rob));
         }
         // Quiet decay: a Suspect slot with no anomalies for a full decay
         // window returns to Healthy.
@@ -732,8 +734,8 @@ mod tests {
     fn same_cycle_multi_module_timeouts_charge_in_rob_order() {
         // Satellite regression: when several modules' blocking CHECKs
         // time out in the same cycle, the charge order is ascending ROB
-        // order — never HashMap iteration order. Allocate in descending
-        // ROB order to stress it.
+        // order, not allocation order. Allocate in descending ROB order
+        // to stress it.
         let run = || {
             let mut wd = wd();
             wd.note_installed(MLR);

@@ -366,16 +366,16 @@ impl Module for Icm {
             });
             self.redundant_copy_arrived(now, idx, word);
         }
-        // ICM_COMP: deliver verdicts whose compare latency elapsed.
-        let mut done = Vec::new();
-        for (i, p) in self.pending.iter().enumerate() {
-            if let Stage::Comp { done_at, error } = p.stage {
-                if done_at <= now {
-                    done.push((i, p.chk_rob, error));
-                }
+        // ICM_COMP: deliver verdicts whose compare latency elapsed,
+        // youngest first.
+        for i in (0..self.pending.len()).rev() {
+            let Stage::Comp { done_at, error } = self.pending[i].stage else {
+                continue;
+            };
+            if done_at > now {
+                continue;
             }
-        }
-        for (i, rob, error) in done.into_iter().rev() {
+            let rob = self.pending[i].chk_rob;
             self.stats.checks_completed += 1;
             if error {
                 self.stats.mismatches += 1;

@@ -24,6 +24,12 @@ cargo build --benches --offline --workspace
 echo "== cargo test -q --offline (workspace)"
 cargo test -q --offline --workspace
 
+echo "== rsebench tests (benchmark wrappers stay transparent)"
+# rsebench is a workspace of its own, so --workspace above skips it. Its
+# tests wrap the Module trait and check a timed run simulates exactly
+# what an untimed one does.
+cargo test --release --offline --manifest-path rsebench/Cargo.toml
+
 echo "== fault-injection smoke campaign (64 runs, fixed seed)"
 # The campaign is a pure function of the seed: two invocations must be
 # byte-identical, and both must match the pinned golden histogram. A
