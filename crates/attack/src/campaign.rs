@@ -1,35 +1,24 @@
 //! The adversarial campaign runner: golden references, attacked runs,
 //! outcome classification, and the recovery path.
 //!
-//! The runner deliberately mirrors `rse_inject::campaign` — golden
-//! reference once per victim, seed-derived plan per run, classification
-//! against the golden result, checkpoint-rollback when a detection left
-//! divergent state — so an attack run replays exactly like an injection
-//! run and shares the same sharding/tiering machinery. What changes is
-//! the threat model: plans come from [`sample_attack`] instead of the
-//! soft-error sampler, victims come in defended/exposed twin pairs, and
-//! MLR-guarded victims re-randomize their layout **fresh every run** (a
-//! per-run layout seed derived from the attack seed), because a fixed
-//! layout would hand the diversity defense a constant the attacker
-//! never gets in the modeled system.
+//! Every attack run goes through `rse_inject`'s trial kernel
+//! ([`Trial::observe`] and [`Trial::rerun`]) and shared campaign body
+//! ([`run_cells`]); what this module adds is the threat model. Plans come
+//! from [`sample_attack`] instead of the soft-error sampler, victims come
+//! in defended/exposed twin pairs, and MLR-guarded victims re-randomize
+//! their layout **fresh every run** (a per-run layout seed derived from
+//! the attack seed), because a fixed layout would hand the diversity
+//! defense a constant the attacker never gets in the modeled system.
 
 use crate::chain::{is_chain_model, run_chain};
 use crate::model::AttackModel;
 use crate::outcome::{AttackOutcome, AttackRecord};
 use crate::surface::{map_surface, sample_attack};
 use crate::victim::{victim_by_name, victims, Harness, Victim, Workload};
-use rse_inject::{
-    build_harness_seeded, capture_checkpoints, detecting_module, drive, fault_budget, reference,
-    result_digest, rollback_and_rerun, rollback_and_rerun_tiered, run_sharded, PreRunCheckpoints,
-    RawEnd, RecoveryStatus, RefState,
-};
+use rse_inject::{cell_seed, run_cells, CellModel, RecoveryStatus, RefState, Trial};
 use rse_isa::asm::assemble;
-use rse_isa::layout::{page_base, STACK_BASE};
-use rse_isa::{Image, ModuleId, Reg};
-use rse_pipeline::CpuContext;
-use rse_support::rng::{fnv1a64, splitmix64};
-use rse_sys::{Os, OsConfig, OsExit};
-use std::collections::BTreeMap;
+use rse_isa::ModuleId;
+use rse_support::rng::splitmix64;
 
 /// Re-exported so callers configure attack campaigns with the exact
 /// options type the injection campaigns use (tiering and sharding
@@ -45,12 +34,24 @@ const MLR_LAYOUT_DOMAIN: u64 = 0x4D4C_525F_4C41_594F; // "MLR_LAYO"
 /// name, the attack model, and the run index. Pure and stable: the
 /// JSONL `seed` field plus [`sample_attack`] replays the exact attack.
 pub fn derive_seed(base_seed: u64, victim: &str, model: AttackModel, run: u32) -> u64 {
-    let mut s = base_seed ^ fnv1a64(victim.as_bytes());
-    splitmix64(&mut s);
-    s ^= model.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut s);
-    s ^= u64::from(run);
-    splitmix64(&mut s)
+    cell_seed(base_seed, victim, model, run)
+}
+
+impl CellModel for AttackModel {
+    type Subject = Victim;
+    const SUBJECT: &'static str = "victim";
+    fn subject(name: &str) -> Option<&'static Victim> {
+        victim_by_name(name)
+    }
+    fn workload(v: &Victim) -> &Workload {
+        &v.workload
+    }
+    fn applies_to(self, v: &Victim) -> bool {
+        self.applicable(v)
+    }
+    fn seed_index(self) -> u64 {
+        self.index()
+    }
 }
 
 /// The per-run MLR layout seed for MLR-guarded victims: independent of
@@ -62,59 +63,68 @@ pub(crate) fn mlr_layout_seed(v: &Victim, seed: u64) -> Option<u64> {
     })
 }
 
-/// Rolls an OS-harness victim back to its pre-run checkpoints and
-/// re-executes under a fresh guest OS (same MLR layout seed, so the
-/// re-run reproduces the attacked run's randomization decisions).
-/// Returns the re-executed guest output, or the failure cause.
-pub(crate) fn rollback_and_rerun_os(
-    w: &Workload,
-    image: &Image,
-    pre: &PreRunCheckpoints,
-    budget: u64,
-    mlr_seed: Option<u64>,
-) -> Result<Vec<i32>, String> {
-    let mut b = build_harness_seeded(w, image, budget, mlr_seed);
-    for &page in &pre.pages {
-        let cp = pre
-            .store
-            .earliest_for(page)
-            .ok_or_else(|| format!("missing checkpoint for page {page:#x}"))?;
-        b.cpu
-            .mem_mut()
-            .memory
-            .restore_page(page_base(page), &cp.data);
-    }
-    b.cpu.mem_mut().invalidate_caches();
-    let mut regs = [0u32; 32];
-    regs[Reg::SP.index()] = STACK_BASE - 16;
-    b.cpu.set_context(&CpuContext {
-        regs,
-        pc: image.entry,
-    });
-    let mut os = Os::new(OsConfig::default());
-    match os.run(&mut b.cpu, &mut b.engine, budget) {
-        OsExit::Exited { code: 0 } => Ok(os.output.clone()),
-        other => Err(format!("re-execution after rollback ended with {other:?}")),
+/// The attack verdict on an observed run, in the priority order
+/// [`run_one_with`] documents; `loss` is what a clean exit with a
+/// divergent result counts as.
+pub(crate) fn verdict(t: &Trial, loss: AttackOutcome) -> AttackOutcome {
+    if let Some(m) = t.down() {
+        AttackOutcome::Degraded(m)
+    } else if let Some(m) = t.detected_by() {
+        AttackOutcome::Detected(m)
+    } else if t.safe_mode() || t.end.timed_out() || t.end.crashed() {
+        AttackOutcome::CrashTrap
+    } else if t.golden {
+        AttackOutcome::Prevented
+    } else {
+        loss
     }
 }
 
-/// Executes one attack run and classifies it. Equivalent to
-/// [`run_one_with`] with default (untiered, sequential) options.
-pub fn run_one(v: &Victim, model: AttackModel, run: u32, seed: u64, r: &RefState) -> AttackRecord {
-    run_one_with(v, model, run, seed, r, &CampaignOptions::default())
+/// The recovery a verdict records without re-executing, or `None` when
+/// the run left divergent state only a checkpoint rollback can repair.
+pub(crate) fn settled_recovery(outcome: AttackOutcome, golden: bool) -> Option<RecoveryStatus> {
+    match outcome {
+        AttackOutcome::Prevented | AttackOutcome::Compromised | AttackOutcome::Evaded(_) => {
+            Some(RecoveryStatus::NotNeeded)
+        }
+        AttackOutcome::Degraded(_) if golden => Some(RecoveryStatus::Succeeded {
+            mechanism: "quarantine-nop-mux",
+        }),
+        // The DSM is detect-only (no flush path): a clean result under a
+        // DSM detection needed no mechanism at all.
+        AttackOutcome::Detected(ModuleId::DSM) if golden => Some(RecoveryStatus::NotNeeded),
+        AttackOutcome::Detected(_) if golden => Some(RecoveryStatus::Succeeded {
+            mechanism: "flush-refetch",
+        }),
+        _ => None,
+    }
+}
+
+/// [`verdict`] plus its recovery ([`settled_recovery`], else one
+/// checkpoint-rollback re-execution).
+pub(crate) fn classify(
+    t: &Trial,
+    r: &RefState,
+    opts: &CampaignOptions,
+    loss: AttackOutcome,
+) -> (AttackOutcome, RecoveryStatus) {
+    let outcome = verdict(t, loss);
+    let recovery =
+        settled_recovery(outcome, t.golden).unwrap_or_else(|| t.rollback(r, opts.tiered));
+    (outcome, recovery)
 }
 
 /// Executes one attack run and classifies it.
 ///
 /// Classification priority (most attributable first): a downed
 /// defending module (`degraded:*`), a module detection (`detected:*` —
-/// ICM invariant mismatches on checked harnesses, the DDT's NX trap or
-/// crash-mediated recovery on OS harnesses), then the end state: a
-/// safe-mode trip, timeout, or kill is a `crash-trap`; a clean exit is
-/// `prevented` if the result matches golden and `compromised` if the
-/// attacker's tampering stuck. Detections and crashes with divergent
-/// state then exercise the checkpoint-rollback recovery path exactly as
-/// the injection engine does.
+/// ICM invariant and DSM signature mismatches on checked harnesses, the
+/// DDT's NX trap or crash-mediated recovery on OS harnesses), then the
+/// end state: a safe-mode trip, timeout, or trap is a `crash-trap`; a
+/// clean exit is `prevented` if the result matches golden and
+/// `compromised` if the attacker's tampering stuck. Detections and
+/// crashes with divergent state then exercise the checkpoint-rollback
+/// re-execution exactly as the injection engine does.
 pub fn run_one_with(
     v: &Victim,
     model: AttackModel,
@@ -130,121 +140,8 @@ pub fn run_one_with(
     let image = assemble(w.source).expect("victim workload assembles");
     let surface = map_surface(v, &image);
     let plan = sample_attack(model, seed, v, &surface, &r.profile);
-    let budget = fault_budget(r);
-    let (outcome, recovery, cycles) = match w.harness {
-        Harness::Bare | Harness::Icm | Harness::Dsm => {
-            let mut b = build_harness_seeded(w, &image, budget, None);
-            let pre = capture_checkpoints(&b.cpu.mem().memory);
-            plan.arm(&mut b.cpu, &mut b.engine);
-            let end = drive(&mut b.cpu, &mut b.engine, budget);
-            if end == RawEnd::TimedOut {
-                b.engine.poll_hang(b.cpu.now());
-            }
-            let detected_by = detecting_module(&b.engine);
-            let digest = result_digest(w, &b.cpu, &image);
-            let clean = end == RawEnd::Halted && digest == r.digest;
-            let down_target = w
-                .harness
-                .target_module()
-                .filter(|&m| b.engine.module_health(m).is_down());
-            let outcome = if let Some(m) = down_target {
-                AttackOutcome::Degraded(m)
-            } else if let Some(m) = detected_by {
-                AttackOutcome::Detected(m)
-            } else if b.engine.safe_mode().is_some() {
-                AttackOutcome::CrashTrap
-            } else {
-                match end {
-                    RawEnd::TimedOut | RawEnd::Crash(_) => AttackOutcome::CrashTrap,
-                    RawEnd::Halted => {
-                        if digest == r.digest {
-                            AttackOutcome::Prevented
-                        } else {
-                            AttackOutcome::Compromised
-                        }
-                    }
-                }
-            };
-            let recovery = match outcome {
-                AttackOutcome::Prevented | AttackOutcome::Compromised => RecoveryStatus::NotNeeded,
-                AttackOutcome::Degraded(_) if clean => RecoveryStatus::Succeeded {
-                    mechanism: "quarantine-nop-mux",
-                },
-                // The DSM is detect-only (no flush path): a clean result
-                // under a DSM detection needed no mechanism at all.
-                AttackOutcome::Detected(ModuleId::DSM) if clean => RecoveryStatus::NotNeeded,
-                AttackOutcome::Detected(_) if clean => RecoveryStatus::Succeeded {
-                    mechanism: "flush-refetch",
-                },
-                _ => match if opts.tiered {
-                    rollback_and_rerun_tiered(w, &image, &pre, budget)
-                } else {
-                    rollback_and_rerun(w, &image, &pre, budget)
-                } {
-                    Ok(d) if d == r.digest => RecoveryStatus::Succeeded {
-                        mechanism: "checkpoint-rollback",
-                    },
-                    Ok(_) => RecoveryStatus::FailedSafeHalt {
-                        cause: "re-executed state diverged from golden".into(),
-                    },
-                    Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
-                },
-            };
-            (outcome, recovery, b.cpu.now())
-        }
-        Harness::DdtOs | Harness::MlrOs | Harness::OsBare | Harness::NxOs => {
-            let mlr_seed = mlr_layout_seed(v, seed);
-            let mut b = build_harness_seeded(w, &image, budget, mlr_seed);
-            let pre = capture_checkpoints(&b.cpu.mem().memory);
-            plan.arm(&mut b.cpu, &mut b.engine);
-            let mut os = Os::new(OsConfig::default());
-            let exit = os.run(&mut b.cpu, &mut b.engine, budget);
-            if exit == OsExit::Timeout {
-                b.engine.poll_hang(b.cpu.now());
-            }
-            // The pipeline latches an NX violation when it traps a commit
-            // from a non-executable page; `OsExit` alone cannot tell that
-            // trap apart from a clean exit, so read the latch directly.
-            let detected = b.cpu.nx_violation().is_some() || os.stats().recoveries > 0;
-            let run_ok = exit == (OsExit::Exited { code: 0 }) && os.output == r.output;
-            let down_target = w
-                .harness
-                .target_module()
-                .filter(|&m| b.engine.module_health(m).is_down());
-            let outcome = if let Some(m) = down_target {
-                AttackOutcome::Degraded(m)
-            } else if detected {
-                AttackOutcome::Detected(ModuleId::DDT)
-            } else if b.engine.safe_mode().is_some() {
-                AttackOutcome::CrashTrap
-            } else {
-                match &exit {
-                    OsExit::Timeout | OsExit::ProcessKilled { .. } => AttackOutcome::CrashTrap,
-                    OsExit::Exited { code: 0 } if os.output == r.output => AttackOutcome::Prevented,
-                    _ => AttackOutcome::Compromised,
-                }
-            };
-            let recovery = match outcome {
-                AttackOutcome::Prevented | AttackOutcome::Compromised => RecoveryStatus::NotNeeded,
-                AttackOutcome::Degraded(_) if run_ok => RecoveryStatus::Succeeded {
-                    mechanism: "quarantine-nop-mux",
-                },
-                AttackOutcome::Detected(_) if run_ok => RecoveryStatus::Succeeded {
-                    mechanism: "flush-refetch",
-                },
-                _ => match rollback_and_rerun_os(w, &image, &pre, budget, mlr_seed) {
-                    Ok(out) if out == r.output => RecoveryStatus::Succeeded {
-                        mechanism: "checkpoint-rollback",
-                    },
-                    Ok(_) => RecoveryStatus::FailedSafeHalt {
-                        cause: "re-executed state diverged from golden".into(),
-                    },
-                    Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
-                },
-            };
-            (outcome, recovery, b.cpu.now())
-        }
-    };
+    let t = Trial::observe(w, &image, r, mlr_layout_seed(v, seed), &plan);
+    let (outcome, recovery) = classify(&t, r, opts, AttackOutcome::Compromised);
     AttackRecord {
         victim: w.name,
         defended: v.defended,
@@ -253,17 +150,9 @@ pub fn run_one_with(
         seed,
         outcome,
         recovery,
-        cycles,
+        cycles: t.cycles(),
         attack: plan.describe(),
     }
-}
-
-/// Convenience: reference + single run for a named victim. Returns
-/// `None` for an unknown victim name.
-pub fn run_one_by_name(name: &str, model: AttackModel, seed: u64) -> Option<AttackRecord> {
-    let v = victim_by_name(name)?;
-    let r = reference(&v.workload);
-    Some(run_one(v, model, 0, seed, &r))
 }
 
 /// One campaign cell: `runs` attacks of `model` against `victim`.
@@ -402,51 +291,23 @@ pub fn run_campaign(spec: &AttackSpec) -> Vec<AttackRecord> {
     run_campaign_with(spec, &CampaignOptions::default())
 }
 
-/// Executes an adversarial campaign under [`CampaignOptions`], sharding
-/// run-level jobs across threads exactly as the injection campaigns do:
-/// the merged record vector — and therefore
-/// [`crate::outcome::to_jsonl`] — is byte-for-byte identical for every
-/// thread count and tiering choice.
+/// Executes an adversarial campaign under [`CampaignOptions`] with the
+/// injection campaigns' runner ([`run_cells`]): the merged record vector
+/// — and therefore [`crate::outcome::to_jsonl`] — is byte-for-byte
+/// identical for every thread count and tiering choice.
 ///
 /// # Panics
 ///
 /// Panics as [`run_campaign`] does on an invalid spec, and propagates
 /// any worker panic.
 pub fn run_campaign_with(spec: &AttackSpec, opts: &CampaignOptions) -> Vec<AttackRecord> {
-    for cell in &spec.cells {
-        let v = victim_by_name(cell.victim)
-            .unwrap_or_else(|| panic!("unknown victim {:?}", cell.victim));
-        assert!(
-            cell.model.applicable(v),
-            "model {} is not applicable to victim {}",
-            cell.model,
-            v.workload.name
-        );
-    }
-    let mut refs: BTreeMap<&str, RefState> = BTreeMap::new();
-    for cell in &spec.cells {
-        let v = victim_by_name(cell.victim).expect("validated above");
-        refs.entry(v.workload.name)
-            .or_insert_with(|| reference(&v.workload));
-    }
-    let jobs: Vec<(&'static Victim, AttackModel, u32, u64)> = spec
-        .cells
-        .iter()
-        .flat_map(|cell| {
-            let v = victim_by_name(cell.victim).expect("validated above");
-            (0..cell.runs).map(move |run| {
-                (
-                    v,
-                    cell.model,
-                    run,
-                    derive_seed(spec.base_seed, v.workload.name, cell.model, run),
-                )
-            })
-        })
-        .collect();
-    run_sharded(&jobs, opts.threads, |_, &(v, model, run, seed)| {
-        run_one_with(v, model, run, seed, &refs[v.workload.name], opts)
-    })
+    let cells = spec.cells.iter().map(|c| (c.victim, c.model, c.runs));
+    run_cells(
+        spec.base_seed,
+        cells,
+        opts.threads,
+        |v, model, run, seed, r| run_one_with(v, model, run, seed, r, opts),
+    )
 }
 
 #[cfg(test)]
@@ -516,8 +377,11 @@ mod tests {
 
     #[test]
     fn single_runs_replay_byte_identically() {
-        let rec = run_one_by_name("stack_exposed", AttackModel::StackSmash, 0xFEED).unwrap();
-        let again = run_one_by_name("stack_exposed", AttackModel::StackSmash, 0xFEED).unwrap();
+        let v = victim_by_name("stack_exposed").unwrap();
+        let r = rse_inject::reference(&v.workload);
+        let opts = CampaignOptions::default();
+        let rec = run_one_with(v, AttackModel::StackSmash, 0, 0xFEED, &r, &opts);
+        let again = run_one_with(v, AttackModel::StackSmash, 0, 0xFEED, &r, &opts);
         assert_eq!(rec.to_json(), again.to_json());
         assert!(!rec.defended);
     }

@@ -30,23 +30,17 @@
 //!   result with the checker down is `evaded:ICM` — the containment
 //!   question the health machine must answer honestly.
 
-use crate::campaign::{mlr_layout_seed, rollback_and_rerun_os, CampaignOptions};
+use crate::campaign::{classify, mlr_layout_seed, settled_recovery, verdict, CampaignOptions};
 use crate::model::AttackModel;
 use crate::outcome::{AttackOutcome, AttackRecord};
 use crate::surface::{map_surface, sample_attack, STACK_SLOT_OFFSET};
-use crate::victim::{Victim, Workload};
-use rse_inject::{
-    build_harness_seeded, capture_checkpoints, detecting_module, drive, fault_budget,
-    result_digest, retry_mechanism, rollback_and_rerun, rollback_and_rerun_bounded,
-    rollback_and_rerun_tiered, FaultPlan, PlannedFault, PreRunCheckpoints, RawEnd, RecoveryStatus,
-    RefState,
-};
+use crate::victim::Victim;
+use rse_inject::{retry_mechanism, FaultPlan, PlannedFault, RecoveryStatus, RefState, Trial};
 use rse_isa::asm::assemble;
 use rse_isa::layout::{HEAP_BASE, STACK_BASE};
-use rse_isa::{Image, ModuleId};
+use rse_isa::ModuleId;
 use rse_pipeline::SoftFault;
 use rse_support::rng::splitmix64;
-use rse_sys::{Os, OsConfig, OsExit};
 
 /// Domain separator for the chain's *stage* draws (strike timing,
 /// attacker persistence), so they are independent of the stage-1 plan
@@ -80,176 +74,63 @@ pub fn run_chain(
     opts: &CampaignOptions,
 ) -> AttackRecord {
     match model {
-        AttackModel::AdaptiveChain => run_adaptive_chain(v, run, seed, r),
+        AttackModel::AdaptiveChain => run_adaptive_chain(v, run, seed, r, opts),
         AttackModel::RecoveryStrike => run_recovery_strike(v, run, seed, r, opts),
         AttackModel::QuarantineEvade => run_quarantine_evade(v, run, seed, r, opts),
         other => panic!("{other} is not a chain model"),
     }
 }
 
-/// One OS-harness chain stage, fully observed: the victim runs under a
-/// fresh guest OS with `plan` armed, and the stage records everything
-/// the adaptive attacker (and the classifier) needs — including the
-/// MLR's published layout words, which the leak stage reads.
-struct OsStage {
-    exit_ok: bool,
-    output: Vec<i32>,
-    detected: bool,
-    down: Option<ModuleId>,
-    trapped: bool,
-    cycles: u64,
-    pre: PreRunCheckpoints,
-    hdr_stack: u32,
-    hdr_heap: u32,
-}
-
-fn run_os_stage(
-    w: &Workload,
-    image: &Image,
-    budget: u64,
-    mlr_seed: Option<u64>,
-    plan: &FaultPlan,
-) -> OsStage {
-    let mut b = build_harness_seeded(w, image, budget, mlr_seed);
-    let pre = capture_checkpoints(&b.cpu.mem().memory);
-    plan.arm(&mut b.cpu, &mut b.engine);
-    let mut os = Os::new(OsConfig::default());
-    let exit = os.run(&mut b.cpu, &mut b.engine, budget);
-    if exit == OsExit::Timeout {
-        b.engine.poll_hang(b.cpu.now());
-    }
-    let detected = b.cpu.nx_violation().is_some() || os.stats().recoveries > 0;
-    let down = w
-        .harness
-        .target_module()
-        .filter(|&m| b.engine.module_health(m).is_down());
-    let trapped = b.engine.safe_mode().is_some()
-        || matches!(exit, OsExit::Timeout | OsExit::ProcessKilled { .. });
-    OsStage {
-        exit_ok: exit == (OsExit::Exited { code: 0 }),
-        output: os.output.clone(),
-        detected,
-        down,
-        trapped,
-        cycles: b.cpu.now(),
-        pre,
-        hdr_stack: b.cpu.mem().memory.read_u32(MLR_HDR + 4),
-        hdr_heap: b.cpu.mem().memory.read_u32(MLR_HDR + 8),
-    }
-}
-
-/// Classifies an OS stage plus its recovery, shared by the probe and
-/// strike stages (the same priority order as the single-shot runner).
-fn classify_os_stage(
-    st: &OsStage,
-    w: &Workload,
-    image: &Image,
-    budget: u64,
-    mlr_seed: Option<u64>,
-    r: &RefState,
-    loss: AttackOutcome,
-) -> (AttackOutcome, RecoveryStatus) {
-    let golden = st.exit_ok && st.output == r.output;
-    let rollback =
-        |pre: &PreRunCheckpoints| match rollback_and_rerun_os(w, image, pre, budget, mlr_seed) {
-            Ok(out) if out == r.output => RecoveryStatus::Succeeded {
-                mechanism: "checkpoint-rollback",
-            },
-            Ok(_) => RecoveryStatus::FailedSafeHalt {
-                cause: "re-executed state diverged from golden".into(),
-            },
-            Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
-        };
-    if let Some(m) = st.down {
-        let recovery = if golden {
-            RecoveryStatus::Succeeded {
-                mechanism: "quarantine-nop-mux",
-            }
-        } else {
-            rollback(&st.pre)
-        };
-        return (AttackOutcome::Degraded(m), recovery);
-    }
-    if st.detected {
-        let recovery = if golden {
-            RecoveryStatus::Succeeded {
-                mechanism: "flush-refetch",
-            }
-        } else {
-            rollback(&st.pre)
-        };
-        return (AttackOutcome::Detected(ModuleId::DDT), recovery);
-    }
-    if st.trapped {
-        return (AttackOutcome::CrashTrap, rollback(&st.pre));
-    }
-    if golden {
-        return (AttackOutcome::Prevented, RecoveryStatus::NotNeeded);
-    }
-    (loss, RecoveryStatus::NotNeeded)
-}
-
 /// *Probe → leak → strike*: the adaptive chain against the MLR-guarded
 /// (`stack_*`, `got_*`) victims.
-fn run_adaptive_chain(v: &Victim, run: u32, seed: u64, r: &RefState) -> AttackRecord {
+fn run_adaptive_chain(
+    v: &Victim,
+    run: u32,
+    seed: u64,
+    r: &RefState,
+    opts: &CampaignOptions,
+) -> AttackRecord {
     let w = &v.workload;
     let image = assemble(w.source).expect("victim workload assembles");
     let surface = map_surface(v, &image);
     let plan = sample_attack(AttackModel::AdaptiveChain, seed, v, &surface, &r.profile);
-    let budget = fault_budget(r);
     let mlr_seed = mlr_layout_seed(v, seed);
     let mut cs = seed ^ CHAIN_STAGE_DOMAIN;
+    let record = |outcome, recovery, cycles, attack| AttackRecord {
+        victim: w.name,
+        defended: v.defended,
+        model: AttackModel::AdaptiveChain.name(),
+        run,
+        seed,
+        outcome,
+        recovery,
+        cycles,
+        attack,
+    };
 
     // Stage 1: the nominal-layout probe.
-    let probe = run_os_stage(w, &image, budget, mlr_seed, &plan);
-    let mut cycles = probe.cycles;
-    let probe_golden = probe.exit_ok && probe.output == r.output;
-    if !probe_golden || probe.down.is_some() || probe.detected || probe.trapped {
+    let probe = Trial::observe(w, &image, r, mlr_seed, &plan);
+    let mut cycles = probe.cycles();
+    let (outcome, recovery) = classify(&probe, r, opts, AttackOutcome::Compromised);
+    if outcome != AttackOutcome::Prevented {
         // The probe resolved the run on its own — a nominal-layout hit
         // (the undefended loss), a detection, or a crash. No adaptation
         // happened, so this is exactly the single-shot classification.
-        let (outcome, recovery) = classify_os_stage(
-            &probe,
-            w,
-            &image,
-            budget,
-            mlr_seed,
-            r,
-            AttackOutcome::Compromised,
-        );
-        return AttackRecord {
-            victim: w.name,
-            defended: v.defended,
-            model: AttackModel::AdaptiveChain.name(),
-            run,
-            seed,
-            outcome,
-            recovery,
-            cycles,
-            attack: format!("chain[probe:{};probe-hit]", plan.describe()),
-        };
+        let attack = format!("chain[probe:{};probe-hit]", plan.describe());
+        return record(outcome, recovery, cycles, attack);
     }
 
     // Stage 2: the probe missed — leak the published layout from an
     // attack-free run under the same layout seed.
-    let leak = run_os_stage(
-        w,
-        &image,
-        budget,
-        mlr_seed,
-        &FaultPlan { faults: Vec::new() },
-    );
-    cycles += leak.cycles;
+    let leak = Trial::observe(w, &image, r, mlr_seed, &FaultPlan { faults: Vec::new() });
+    cycles += leak.cycles();
+    let hdr = |off| leak.b.cpu.mem().memory.read_u32(MLR_HDR + off);
     let evil = surface.evil.expect("chain victims declare evil");
     let slot = if w.name.starts_with("stack_") {
-        let base = if leak.hdr_stack != 0 {
-            leak.hdr_stack
-        } else {
-            STACK_BASE
-        };
+        let base = if hdr(4) != 0 { hdr(4) } else { STACK_BASE };
         base - STACK_SLOT_OFFSET
-    } else if leak.hdr_heap != 0 {
-        leak.hdr_heap
+    } else if hdr(8) != 0 {
+        hdr(8)
     } else {
         HEAP_BASE
     };
@@ -263,8 +144,8 @@ fn run_adaptive_chain(v: &Victim, run: u32, seed: u64, r: &RefState) -> AttackRe
             value: evil,
         })],
     };
-    let strike = run_os_stage(w, &image, budget, mlr_seed, &strike_plan);
-    cycles += strike.cycles;
+    let strike = Trial::observe(w, &image, r, mlr_seed, &strike_plan);
+    cycles += strike.cycles();
     // A strike loss on the defended twin is attributed to the evaded
     // randomizer: the MLR's diversity was beaten by the leak, not by
     // luck at the nominal base.
@@ -273,21 +154,12 @@ fn run_adaptive_chain(v: &Victim, run: u32, seed: u64, r: &RefState) -> AttackRe
     } else {
         AttackOutcome::Compromised
     };
-    let (outcome, recovery) = classify_os_stage(&strike, w, &image, budget, mlr_seed, r, loss);
-    AttackRecord {
-        victim: w.name,
-        defended: v.defended,
-        model: AttackModel::AdaptiveChain.name(),
-        run,
-        seed,
-        outcome,
-        recovery,
-        cycles,
-        attack: format!(
-            "chain[probe:{};leak:base={slot:#x};strike:mem[{slot:#x}]:={evil:#x}@c{at_cycle}]",
-            plan.describe()
-        ),
-    }
+    let (outcome, recovery) = classify(&strike, r, opts, loss);
+    let attack = format!(
+        "chain[probe:{};leak:base={slot:#x};strike:mem[{slot:#x}]:={evil:#x}@c{at_cycle}]",
+        plan.describe()
+    );
+    record(outcome, recovery, cycles, attack)
 }
 
 /// The recovery-window strike against the checked (`branch_*`, `seq_*`)
@@ -304,7 +176,6 @@ fn run_recovery_strike(
     let image = assemble(w.source).expect("victim workload assembles");
     let surface = map_surface(v, &image);
     let plan = sample_attack(AttackModel::RecoveryStrike, seed, v, &surface, &r.profile);
-    let budget = fault_budget(r);
     // Attacker persistence: how many rollback re-executions the strike
     // still lands in (0 = the window clears immediately). Drawn past
     // the retry budget often enough that the escalation path is real.
@@ -312,95 +183,46 @@ fn run_recovery_strike(
     let persist = (splitmix64(&mut cs) % 5) as u32;
 
     // Stage 1: the primary strike.
-    let mut b = build_harness_seeded(w, &image, budget, None);
-    let pre = capture_checkpoints(&b.cpu.mem().memory);
-    plan.arm(&mut b.cpu, &mut b.engine);
-    let end = drive(&mut b.cpu, &mut b.engine, budget);
-    if end == RawEnd::TimedOut {
-        b.engine.poll_hang(b.cpu.now());
-    }
-    let detected_by = detecting_module(&b.engine);
-    let digest = result_digest(w, &b.cpu, &image);
-    let clean = end == RawEnd::Halted && digest == r.digest;
-    let down = w
-        .harness
-        .target_module()
-        .filter(|&m| b.engine.module_health(m).is_down());
-    let cycles = b.cpu.now();
-    let pre_outcome = if let Some(m) = down {
-        AttackOutcome::Degraded(m)
-    } else if let Some(m) = detected_by {
-        AttackOutcome::Detected(m)
-    } else if b.engine.safe_mode().is_some() {
-        AttackOutcome::CrashTrap
-    } else {
-        match end {
-            RawEnd::TimedOut | RawEnd::Crash(_) => AttackOutcome::CrashTrap,
-            RawEnd::Halted => {
-                if digest == r.digest {
-                    AttackOutcome::Prevented
-                } else {
-                    AttackOutcome::Compromised
-                }
-            }
-        }
-    };
+    let t = Trial::observe(w, &image, r, None, &plan);
+    let outcome = verdict(&t, AttackOutcome::Compromised);
 
-    // Stage 2: recovery under fire. The strike closure re-delivers the
-    // exact same plan into each re-execution the persistence covers; a
-    // clean attempt records `recovered:retry<k>`, an exhausted budget
-    // escalates to a degraded safe halt (never a silent wrong answer).
-    let (outcome, recovery) = match pre_outcome {
-        AttackOutcome::Prevented | AttackOutcome::Compromised => {
-            (pre_outcome, RecoveryStatus::NotNeeded)
-        }
-        AttackOutcome::Detected(m) if clean => {
-            // The DSM is detect-only (no flush path), so a clean result
-            // needs no mechanism at all; the ICM's clean detections are
-            // its flush-refetch at work.
-            let recovery = if m == ModuleId::ICM {
-                RecoveryStatus::Succeeded {
-                    mechanism: "flush-refetch",
-                }
-            } else {
-                RecoveryStatus::NotNeeded
-            };
-            (pre_outcome, recovery)
-        }
-        AttackOutcome::Degraded(_) if clean => (
-            pre_outcome,
-            RecoveryStatus::Succeeded {
-                mechanism: "quarantine-nop-mux",
-            },
-        ),
-        _ => {
-            let strike = |attempt: u32, cpu: &mut _, engine: &mut _| {
-                if attempt <= persist {
-                    plan.arm(cpu, engine);
-                }
-            };
-            match rollback_and_rerun_bounded(
-                w,
-                &image,
-                &pre,
-                budget,
-                r.digest,
-                opts.max_rerun,
-                strike,
-            ) {
-                Ok(k) => (
-                    pre_outcome,
+    // Stage 2: recovery under fire. Each rollback re-execution the
+    // persistence covers gets the exact same plan re-delivered; a clean
+    // attempt records `recovered:retry<k>`. When every attempt diverges,
+    // crashes, or times out, the rollback escalates to a degraded safe
+    // halt instead of retrying forever (never a silent wrong answer);
+    // the cause names `--max-rerun` the way the re-randomization CLI
+    // names `--validate-period`, so the operator knows which budget
+    // tripped.
+    let (outcome, recovery) = match settled_recovery(outcome, t.golden) {
+        Some(recovery) => (outcome, recovery),
+        None => {
+            let attempts = opts.max_rerun.max(1);
+            let mut last = String::new();
+            let clean = (1..=attempts).find(|&k| {
+                let strike = (k <= persist).then_some(&plan);
+                t.rerun(r, opts.tiered, strike)
+                    .map_err(|cause| last = cause)
+                    .is_ok()
+            });
+            match clean {
+                Some(k) => (
+                    outcome,
                     RecoveryStatus::Succeeded {
                         mechanism: retry_mechanism(k),
                     },
                 ),
-                Err(cause) => {
+                None => {
                     // Budget exhausted: quarantine the attacked surface
                     // instead of livelocking in rollback.
-                    let escalated = match pre_outcome {
+                    let escalated = match outcome {
                         AttackOutcome::Detected(m) => AttackOutcome::Degraded(m),
                         other => other,
                     };
+                    let cause = format!(
+                        "retry budget exhausted after {attempts} rollback attempts (last: {last}); \
+                         raise --max-rerun only if the recovery window is known to clear"
+                    );
                     (escalated, RecoveryStatus::FailedSafeHalt { cause })
                 }
             }
@@ -414,7 +236,7 @@ fn run_recovery_strike(
         seed,
         outcome,
         recovery,
-        cycles,
+        cycles: t.cycles(),
         attack: format!("rw-strike[{};persist={persist}]", plan.describe()),
     }
 }
@@ -433,66 +255,15 @@ fn run_quarantine_evade(
     let image = assemble(w.source).expect("victim workload assembles");
     let surface = map_surface(v, &image);
     let plan = sample_attack(AttackModel::QuarantineEvade, seed, v, &surface, &r.profile);
-    let budget = fault_budget(r);
-    let mut b = build_harness_seeded(w, &image, budget, None);
-    let pre = capture_checkpoints(&b.cpu.mem().memory);
-    plan.arm(&mut b.cpu, &mut b.engine);
-    let end = drive(&mut b.cpu, &mut b.engine, budget);
-    if end == RawEnd::TimedOut {
-        b.engine.poll_hang(b.cpu.now());
-    }
-    let detected_by = detecting_module(&b.engine);
-    let digest = result_digest(w, &b.cpu, &image);
-    let clean = end == RawEnd::Halted && digest == r.digest;
-    let down = w
-        .harness
-        .target_module()
-        .filter(|&m| b.engine.module_health(m).is_down());
-    let cycles = b.cpu.now();
-    let rollback = || match if opts.tiered {
-        rollback_and_rerun_tiered(w, &image, &pre, budget)
-    } else {
-        rollback_and_rerun(w, &image, &pre, budget)
-    } {
-        Ok(d) if d == r.digest => RecoveryStatus::Succeeded {
-            mechanism: "checkpoint-rollback",
-        },
-        Ok(_) => RecoveryStatus::FailedSafeHalt {
-            cause: "re-executed state diverged from golden".into(),
-        },
-        Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
-    };
-    let (outcome, recovery) = if let Some(m) = down {
-        if clean {
-            // The checker went down but the output-mux containment held
-            // and the guest still computed the golden result.
-            (
-                AttackOutcome::Degraded(m),
-                RecoveryStatus::Succeeded {
-                    mechanism: "quarantine-nop-mux",
-                },
-            )
-        } else {
-            // Quarantined checker + divergent result: the forged burst
-            // bought the attacker a blind spot and the hijack landed
-            // in it. The loss is the evaded module's.
-            (AttackOutcome::Evaded(m), rollback())
-        }
-    } else if let Some(m) = detected_by {
-        let recovery = if clean {
-            RecoveryStatus::Succeeded {
-                mechanism: "flush-refetch",
-            }
-        } else {
-            rollback()
-        };
-        (AttackOutcome::Detected(m), recovery)
-    } else if b.engine.safe_mode().is_some() || matches!(end, RawEnd::TimedOut | RawEnd::Crash(_)) {
-        (AttackOutcome::CrashTrap, rollback())
-    } else if clean {
-        (AttackOutcome::Prevented, RecoveryStatus::NotNeeded)
-    } else {
-        (AttackOutcome::Compromised, RecoveryStatus::NotNeeded)
+    let t = Trial::observe(w, &image, r, None, &plan);
+    let (outcome, recovery) = classify(&t, r, opts, AttackOutcome::Compromised);
+    // Quarantined checker + divergent result: the forged burst bought
+    // the attacker a blind spot and the hijack landed in it. The loss is
+    // the evaded module's (a golden result means the output-mux
+    // containment held: plain `degraded`).
+    let outcome = match outcome {
+        AttackOutcome::Degraded(m) if !t.golden => AttackOutcome::Evaded(m),
+        other => other,
     };
     AttackRecord {
         victim: w.name,
@@ -502,7 +273,7 @@ fn run_quarantine_evade(
         seed,
         outcome,
         recovery,
-        cycles,
+        cycles: t.cycles(),
         attack: format!("evade[{}]", plan.describe()),
     }
 }

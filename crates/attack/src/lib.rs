@@ -26,8 +26,8 @@
 //!   ([`AttackOutcome`]: prevented / detected / degraded /
 //!   compromised / crash-trap), JSONL records, and the coverage table,
 //! * [`campaign`] — the runner: golden references, attacked runs,
-//!   classification, and the checkpoint-rollback recovery path, all
-//!   sharing the injection engine's machinery,
+//!   classification, and the checkpoint-rollback recovery path, all on
+//!   the injection engine's trial kernel and campaign body,
 //! * [`chain`] — the adaptive multi-stage chains: probe→leak→strike
 //!   against the MLR, recovery-window strikes against the bounded
 //!   rollback retry budget, and forged-burst quarantine evasion
@@ -42,14 +42,16 @@
 //! # Example
 //!
 //! ```
-//! use rse_attack::{run_one_by_name, AttackModel};
+//! use rse_attack::{run_one_with, victim_by_name, AttackModel, CampaignOptions};
 //!
-//! // Replay one attack: seed → plan → outcome. The undefended twin
-//! // of the stack pair loses to a stack smash landed mid-window …
-//! let rec = run_one_by_name("stack_exposed", AttackModel::Control, 42).unwrap();
+//! // Replay one attack: seed → plan → outcome.
+//! let v = victim_by_name("stack_exposed").unwrap();
+//! let r = rse_inject::reference(&v.workload);
+//! let opts = CampaignOptions::default();
+//! let rec = run_one_with(v, AttackModel::Control, 0, 42, &r, &opts);
 //! assert_eq!(rec.outcome.tag(), "prevented"); // control: no attack fired
 //! // … and every record replays byte-identically from its seed.
-//! let again = run_one_by_name("stack_exposed", AttackModel::Control, 42).unwrap();
+//! let again = run_one_with(v, AttackModel::Control, 0, 42, &r, &opts);
 //! assert_eq!(rec.to_json(), again.to_json());
 //! ```
 
@@ -65,8 +67,8 @@ pub mod surface;
 pub mod victim;
 
 pub use campaign::{
-    derive_seed, run_campaign, run_campaign_with, run_one, run_one_by_name, run_one_with,
-    AttackCell, AttackSpec, CampaignOptions,
+    derive_seed, run_campaign, run_campaign_with, run_one_with, AttackCell, AttackSpec,
+    CampaignOptions,
 };
 pub use chain::{is_chain_model, run_chain};
 pub use entropy::{

@@ -53,7 +53,7 @@ impl Guest {
     /// A fresh guest starting the workload from its entry point.
     pub fn fresh(owner: NodeId, w: &Workload) -> Guest {
         let image = assemble(w.source).expect("fleet workload assembles");
-        let b = build_harness(w, &image, u64::MAX);
+        let b = build_harness(w, &image, u64::MAX, None);
         Guest {
             owner,
             cpu: b.cpu,
@@ -77,7 +77,7 @@ impl Guest {
         start_at: u64,
     ) -> Guest {
         let image = assemble(w.source).expect("fleet workload assembles");
-        let mut b = build_harness(w, &image, u64::MAX);
+        let mut b = build_harness(w, &image, u64::MAX, None);
         snap.restore_memory(&mut b.cpu.mem_mut().memory);
         b.cpu.mem_mut().invalidate_caches();
         b.cpu.set_context(&CpuContext {

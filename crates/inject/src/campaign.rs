@@ -1,19 +1,25 @@
 //! The campaign runner: golden reference execution, faulty runs,
 //! outcome classification, and the checkpoint-recovery path.
 //!
-//! Per run the engine:
+//! Every fault run and every attack run (`rse-attack`) goes through one
+//! trial kernel:
 //!
-//! 1. executes (or reuses) the **golden reference** for the workload and
-//!    derives the [`RunProfile`] the sampler scales to,
-//! 2. builds a fresh harness, **checkpoints every mapped page** into a
-//!    [`CheckpointStore`] (the system-software shadow of the OS SavePage
-//!    store), arms the sampled faults, and runs under a cycle budget,
-//! 3. classifies the end state against the golden result — `Masked`,
-//!    `SDC`, `DetectedByModule`, `WatchdogTimeout`, `CrashTrap`, `Hang`,
-//! 4. when a detection fired but the architectural result diverged,
+//! 1. [`reference()`] executes the **golden reference** for the workload
+//!    once and derives the [`RunProfile`] the sampler scales to,
+//! 2. [`Trial::observe`] builds a fresh harness, **checkpoints every
+//!    mapped page** into a [`CheckpointStore`] (the system-software
+//!    shadow of the OS SavePage store), arms the planned faults, and
+//!    drives the guest under a cycle budget; the returned [`Trial`]
+//!    answers what each classifier asks of the end state (does it match
+//!    the golden result, which module detected, is the target module
+//!    down, did safe mode trip, how many cycles),
+//! 3. the per-crate classifier turns those answers into an outcome —
+//!    here `Masked`, `SDC`, `DetectedByModule`, `WatchdogTimeout`,
+//!    `CrashTrap`, `Hang`,
+//! 4. when a detection fired but the result diverged, [`Trial::rerun`]
 //!    exercises the **recovery path**: roll memory back from the
 //!    checkpoint store, reset the context to the process entry, and
-//!    re-execute; a re-run that reaches the golden digest is recorded as
+//!    re-execute; a re-run that reaches the golden result is recorded as
 //!    `recovered:checkpoint-rollback`, anything else as a safe-mode halt
 //!    with the recorded cause.
 //!
@@ -23,7 +29,7 @@
 
 use crate::fault::{FaultModel, FaultPlan, RunProfile};
 use crate::outcome::{Outcome, RecoveryStatus, RunRecord};
-use crate::snapshot::{fnv_str, Fnv};
+use crate::snapshot::Fnv;
 use crate::workload::{by_name, corpus, Harness, Workload};
 use rse_core::{Engine, RseConfig, WatchdogConfig};
 use rse_isa::asm::assemble;
@@ -38,7 +44,7 @@ use rse_modules::mlr::{Mlr, MlrConfig};
 use rse_pipeline::{
     CheckPolicy, CpuContext, ExecEvent, NullCoProcessor, Pipeline, PipelineConfig, StepEvent,
 };
-use rse_support::rng::splitmix64;
+use rse_support::rng::{fnv1a64, splitmix64};
 use rse_sys::checkpoint::{Checkpoint, CheckpointConfig, CheckpointStore};
 use rse_sys::tiered::{TieredDriver, Window};
 use rse_sys::{loader, Os, OsConfig, OsExit};
@@ -67,9 +73,16 @@ pub struct RefState {
 /// name, the fault model, and the run index. Pure and stable: the JSONL
 /// `seed` field plus [`FaultPlan::sample`] replays the exact fault.
 pub fn derive_seed(base_seed: u64, workload: &str, model: FaultModel, run: u32) -> u64 {
-    let mut s = base_seed ^ fnv_str(workload);
+    cell_seed(base_seed, workload, model, run)
+}
+
+/// The per-run seed of any campaign cell: the subject name, the model's
+/// [`CellModel::seed_index`], and the run index folded into the base
+/// seed. [`derive_seed`] and `rse_attack::derive_seed` are this body.
+pub fn cell_seed<M: CellModel>(base_seed: u64, subject: &str, model: M, run: u32) -> u64 {
+    let mut s = base_seed ^ fnv1a64(subject.as_bytes());
     splitmix64(&mut s);
-    s ^= model.index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    s ^= model.seed_index().wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(&mut s);
     s ^= u64::from(run);
     splitmix64(&mut s)
@@ -87,20 +100,13 @@ pub struct BuiltHarness {
     pub engine: Engine,
 }
 
-/// Builds the harness for `w` with the given watchdog cycle budget.
-/// Equivalent to [`build_harness_seeded`] with no per-run MLR seed —
-/// [`Harness::MlrOs`] workloads then randomize with a fixed seed derived
-/// from the workload name, so golden references stay reproducible.
-pub fn build_harness(w: &Workload, image: &Image, cycle_budget: u64) -> BuiltHarness {
-    build_harness_seeded(w, image, cycle_budget, None)
-}
-
-/// Builds the harness for `w`, threading a per-run MLR layout seed into
-/// [`Harness::MlrOs`] flavors (the adversarial campaigns randomize the
-/// victim's layout fresh every run; `None` falls back to the pinned
-/// per-workload seed the golden reference uses). The seed is ignored by
+/// Builds the harness for `w` with the given watchdog cycle budget,
+/// threading a per-run MLR layout seed into [`Harness::MlrOs`] flavors
+/// (the adversarial campaigns randomize the victim's layout fresh every
+/// run; `None` falls back to a fixed seed derived from the workload
+/// name, so golden references stay reproducible). The seed is ignored by
 /// every other harness flavor.
-pub fn build_harness_seeded(
+pub fn build_harness(
     w: &Workload,
     image: &Image,
     cycle_budget: u64,
@@ -187,7 +193,7 @@ pub fn build_harness_seeded(
             // The golden reference pins the layout seed to the workload
             // name; adversarial runs re-seed per run. `| 1` keeps the
             // seed nonzero so `Some(0)` never aliases "no entropy".
-            let seed = mlr_seed.unwrap_or_else(|| fnv_str(w.name)) | 1;
+            let seed = mlr_seed.unwrap_or_else(|| fnv1a64(w.name.as_bytes())) | 1;
             let mut engine = Engine::new(rse_cfg);
             engine.install(Box::new(Mlr::new(MlrConfig {
                 seed: Some(seed),
@@ -233,9 +239,7 @@ fn install_bystanders(engine: &mut Engine) {
     engine.enable(ModuleId::AHBM);
 }
 
-/// How a bare/ICM drive loop ended. Public so the adversarial campaign
-/// engine (`rse-attack`) drives its non-OS victims through the same
-/// loop the injection campaigns use.
+/// How a bare/ICM/DSM drive loop ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawEnd {
     /// The guest committed `halt`.
@@ -246,9 +250,9 @@ pub enum RawEnd {
     TimedOut,
 }
 
-/// Runs a bare/ICM harness until it halts, traps, or exhausts the
+/// Runs a bare/ICM/DSM harness until it halts, traps, or exhausts the
 /// absolute cycle `deadline`.
-pub fn drive(cpu: &mut Pipeline, engine: &mut Engine, deadline: u64) -> RawEnd {
+fn drive(cpu: &mut Pipeline, engine: &mut Engine, deadline: u64) -> RawEnd {
     let remaining = deadline.saturating_sub(cpu.now());
     if remaining == 0 {
         return RawEnd::TimedOut;
@@ -263,9 +267,8 @@ pub fn drive(cpu: &mut Pipeline, engine: &mut Engine, deadline: u64) -> RawEnd {
 
 /// Which checker module, if any, flagged a mismatch this run: the ICM's
 /// per-word comparison first, then the DSM's basic-block signature
-/// check. Public so the adversarial campaign engine classifies
-/// detections with the same priority order.
-pub fn detecting_module(engine: &Engine) -> Option<ModuleId> {
+/// check.
+fn detecting_module(engine: &Engine) -> Option<ModuleId> {
     if engine
         .module_ref::<Icm>(ModuleId::ICM)
         .is_some_and(|icm| icm.stats().mismatches > 0)
@@ -336,7 +339,7 @@ fn sampler_profile(w: &Workload, image: &Image, cpu: &Pipeline, engine: &Engine)
 /// a corpus bug, not a campaign outcome.
 pub fn reference(w: &Workload) -> RefState {
     let image = assemble(w.source).expect("corpus workload assembles");
-    let mut b = build_harness(w, &image, u64::MAX);
+    let mut b = build_harness(w, &image, u64::MAX, None);
     match w.harness {
         Harness::Bare | Harness::Icm | Harness::Dsm => {
             let end = drive(&mut b.cpu, &mut b.engine, REF_BUDGET);
@@ -377,17 +380,16 @@ pub fn reference(w: &Workload) -> RefState {
 }
 
 /// System-software pre-run checkpoint: every mapped page snapshotted
-/// into a [`CheckpointStore`], in sorted-page order. Public so the
-/// adversarial campaign engine reuses the same rollback machinery.
-pub struct PreRunCheckpoints {
+/// into a [`CheckpointStore`], in sorted-page order.
+struct PreRunCheckpoints {
     /// The checkpoint store holding every pre-run page image.
-    pub store: CheckpointStore,
+    store: CheckpointStore,
     /// The snapshotted page ids, sorted.
-    pub pages: Vec<u32>,
+    pages: Vec<u32>,
 }
 
 /// Snapshots every mapped page of `mem` into a fresh checkpoint store.
-pub fn capture_checkpoints(mem: &SparseMemory) -> PreRunCheckpoints {
+fn capture_checkpoints(mem: &SparseMemory) -> PreRunCheckpoints {
     let pages = mem.mapped_page_ids_sorted();
     let mut store = CheckpointStore::new(CheckpointConfig::default());
     for &page in &pages {
@@ -401,161 +403,270 @@ pub fn capture_checkpoints(mem: &SparseMemory) -> PreRunCheckpoints {
     PreRunCheckpoints { store, pages }
 }
 
-/// Rolls the process back to its pre-run checkpoints and re-executes.
-/// Returns the re-executed result digest, or the failure cause.
-pub fn rollback_and_rerun(
-    w: &Workload,
-    image: &Image,
-    pre: &PreRunCheckpoints,
-    budget: u64,
-) -> Result<u64, String> {
-    let mut b = build_harness(w, image, budget);
-    // Memory is repopulated *strictly from the checkpoint store*: a
-    // missing page means recovery has insufficient information, exactly
-    // the §4.2.2 whole-process-termination case.
-    for &page in &pre.pages {
-        let cp = pre
-            .store
-            .earliest_for(page)
-            .ok_or_else(|| format!("missing checkpoint for page {page:#x}"))?;
-        b.cpu
-            .mem_mut()
-            .memory
-            .restore_page(page_base(page), &cp.data);
-    }
-    b.cpu.mem_mut().invalidate_caches();
-    let mut regs = [0u32; 32];
-    regs[Reg::SP.index()] = STACK_BASE - 16;
-    b.cpu.set_context(&CpuContext {
-        regs,
-        pc: image.entry,
-    });
-    match drive(&mut b.cpu, &mut b.engine, budget) {
-        RawEnd::Halted => Ok(result_digest(w, &b.cpu, image)),
-        RawEnd::TimedOut => Err("re-execution after rollback did not complete".into()),
-        RawEnd::Crash(why) => Err(format!("re-execution after rollback crashed: {why}")),
-    }
-}
-
-/// Tiered variant of [`rollback_and_rerun`]: the re-execution is
-/// fault-free and architecturally deterministic, judged only by its
-/// result digest — exactly the case where the functional tier is exact
-/// by the differential invariant (golden ≡ pipeline). The
-/// [`TieredDriver`] runs it under [`Window::none`], never entering the
-/// cycle-accurate tier, which is where the tiered campaign's speedup
-/// comes from while leaving every JSONL byte (outcomes, cycle counts,
-/// error strings) identical.
-pub fn rollback_and_rerun_tiered(
-    w: &Workload,
-    image: &Image,
-    pre: &PreRunCheckpoints,
-    budget: u64,
-) -> Result<u64, String> {
-    let mut d = TieredDriver::new(
-        image,
-        PipelineConfig::default(),
-        MemConfig::with_framework(),
-    );
-    for &page in &pre.pages {
-        let cp = pre
-            .store
-            .earliest_for(page)
-            .ok_or_else(|| format!("missing checkpoint for page {page:#x}"))?;
-        d.memory_mut().restore_page(page_base(page), &cp.data);
-    }
-    let mut regs = [0u32; 32];
-    regs[Reg::SP.index()] = STACK_BASE - 16;
-    d.install_context(&CpuContext {
-        regs,
-        pc: image.entry,
-    });
-    // `budget` is a cycle budget (4×ref cycles + slack); with a 4-wide
-    // commit the same number safely over-covers the run's instruction
-    // count, so it doubles as functional fuel.
-    match d.run(&mut NullCoProcessor, &Window::none(), budget) {
-        ExecEvent::Halted => Ok(result_digest_parts(w, d.regs(), d.memory(), image)),
-        ExecEvent::OutOfFuel => Err("re-execution after rollback did not complete".into()),
-        ExecEvent::Syscall => {
-            Err("re-execution after rollback crashed: unexpected syscall trap".into())
-        }
-        ExecEvent::Exception(_) => {
-            Err("re-execution after rollback crashed: unexpected coprocessor exception".into())
-        }
-    }
-}
-
-/// Bounded checkpoint-rollback with an adversary in the recovery
-/// window: re-executes from the pre-run checkpoints up to `max_rerun`
-/// times, letting `strike` re-arm an attack into each attempt (the
-/// recovery-window strike of the adversarial campaigns). An attempt
-/// succeeds when the guest halts with the `golden` digest — the strike
-/// either missed or was absorbed — and the 1-based attempt number is
-/// returned so the caller can record `recovered:retry<k>`. When every
-/// attempt diverges, crashes, or times out, the rollback escalates to a
-/// safe halt instead of retrying forever; the cause names `--max-rerun`
-/// the way the re-randomization CLI names `--validate-period`, so the
-/// operator knows which budget tripped.
-pub fn rollback_and_rerun_bounded(
-    w: &Workload,
-    image: &Image,
-    pre: &PreRunCheckpoints,
-    budget: u64,
-    golden: u64,
-    max_rerun: u32,
-    mut strike: impl FnMut(u32, &mut Pipeline, &mut Engine),
-) -> Result<u32, String> {
-    let mut last = String::from("rollback never attempted");
-    for attempt in 1..=max_rerun.max(1) {
-        let mut b = build_harness(w, image, budget);
-        for &page in &pre.pages {
-            let cp = pre
-                .store
-                .earliest_for(page)
-                .ok_or_else(|| format!("missing checkpoint for page {page:#x}"))?;
-            b.cpu
-                .mem_mut()
-                .memory
-                .restore_page(page_base(page), &cp.data);
-        }
-        b.cpu.mem_mut().invalidate_caches();
-        let mut regs = [0u32; 32];
-        regs[Reg::SP.index()] = STACK_BASE - 16;
-        b.cpu.set_context(&CpuContext {
-            regs,
-            pc: image.entry,
-        });
-        strike(attempt, &mut b.cpu, &mut b.engine);
-        last = match drive(&mut b.cpu, &mut b.engine, budget) {
-            RawEnd::Halted if result_digest(w, &b.cpu, image) == golden => return Ok(attempt),
-            RawEnd::Halted => "re-executed state diverged from golden".into(),
-            RawEnd::TimedOut => "re-execution after rollback did not complete".into(),
-            RawEnd::Crash(why) => format!("re-execution after rollback crashed: {why}"),
-        };
-    }
-    Err(format!(
-        "retry budget exhausted after {} rollback attempts (last: {last}); \
-         raise --max-rerun only if the recovery window is known to clear",
-        max_rerun.max(1)
-    ))
-}
-
 /// The cycle budget a faulted run gets: 4x the golden run plus slack,
 /// so hangs are detectable without ever truncating a legitimate run.
 pub fn fault_budget(r: &RefState) -> u64 {
     r.profile.cycles.saturating_mul(4) + 200_000
 }
 
-/// Executes one fault-injection run and classifies it. Equivalent to
-/// [`run_one_with`] with default (untiered) options.
-pub fn run_one(w: &Workload, model: FaultModel, run: u32, seed: u64, r: &RefState) -> RunRecord {
-    run_one_with(w, model, run, seed, r, &CampaignOptions::default())
+/// How a trial's drive ended: the bare loop's end for Bare/Icm/Dsm
+/// harnesses, the guest OS's exit for the OS flavours.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TrialEnd {
+    /// A bare/ICM/DSM drive loop ended.
+    Bare(RawEnd),
+    /// The guest OS returned.
+    Os(OsExit),
+}
+
+impl TrialEnd {
+    /// The cycle budget ran out before the guest finished.
+    pub fn timed_out(&self) -> bool {
+        matches!(
+            self,
+            TrialEnd::Bare(RawEnd::TimedOut) | TrialEnd::Os(OsExit::Timeout)
+        )
+    }
+
+    /// The guest trapped in a way the bare harness cannot service, or the
+    /// OS had to kill the process.
+    pub fn crashed(&self) -> bool {
+        matches!(
+            self,
+            TrialEnd::Bare(RawEnd::Crash(_)) | TrialEnd::Os(OsExit::ProcessKilled { .. })
+        )
+    }
+}
+
+/// Drives a built harness to its end under the absolute cycle `budget`:
+/// the bare loop, or a fresh guest OS for the OS flavours (returned so
+/// the caller can read its output and recovery count).
+fn run_harness(w: &Workload, b: &mut BuiltHarness, budget: u64) -> (TrialEnd, Option<Os>) {
+    if w.harness.is_os() {
+        let mut os = Os::new(OsConfig::default());
+        let exit = os.run(&mut b.cpu, &mut b.engine, budget);
+        (TrialEnd::Os(exit), Some(os))
+    } else {
+        (
+            TrialEnd::Bare(drive(&mut b.cpu, &mut b.engine, budget)),
+            None,
+        )
+    }
+}
+
+/// Whether an end state reproduces the golden reference: a halt with the
+/// golden result digest on bare harnesses, a clean exit with the golden
+/// output on OS harnesses.
+fn matches_ref(end: &TrialEnd, digest: impl FnOnce() -> u64, output: &[i32], r: &RefState) -> bool {
+    match end {
+        TrialEnd::Bare(e) => *e == RawEnd::Halted && digest() == r.digest,
+        TrialEnd::Os(exit) => *exit == (OsExit::Exited { code: 0 }) && output == r.output,
+    }
+}
+
+/// The register context of a process (re-)entering at its entry point.
+fn entry_context(image: &Image) -> CpuContext {
+    let mut regs = [0u32; 32];
+    regs[Reg::SP.index()] = STACK_BASE - 16;
+    CpuContext {
+        regs,
+        pc: image.entry,
+    }
+}
+
+/// One observed fault or attack run: the harness as the run left it,
+/// how it ended, and what the recovery path needs to re-execute it.
+/// Built by [`Trial::observe`]; both campaign engines classify from it.
+pub struct Trial<'a> {
+    w: &'a Workload,
+    image: &'a Image,
+    budget: u64,
+    mlr_seed: Option<u64>,
+    pre: PreRunCheckpoints,
+    /// The harness in its end state.
+    pub b: BuiltHarness,
+    /// How the drive ended.
+    pub end: TrialEnd,
+    /// What the guest OS printed (empty for bare harnesses).
+    output: Vec<i32>,
+    /// Recoveries the guest OS performed (0 for bare harnesses).
+    os_recoveries: u64,
+    /// Whether the end state matches the golden reference.
+    pub golden: bool,
+}
+
+impl<'a> Trial<'a> {
+    /// Builds the harness for `w` (threading `mlr_seed`, see
+    /// [`build_harness`]), captures the pre-run checkpoints, arms `plan`,
+    /// and drives the guest under [`fault_budget`]. A timeout latches
+    /// the watchdog's one-shot hang detector.
+    pub fn observe(
+        w: &'a Workload,
+        image: &'a Image,
+        r: &RefState,
+        mlr_seed: Option<u64>,
+        plan: &FaultPlan,
+    ) -> Trial<'a> {
+        let budget = fault_budget(r);
+        let mut b = build_harness(w, image, budget, mlr_seed);
+        let pre = capture_checkpoints(&b.cpu.mem().memory);
+        plan.arm(&mut b.cpu, &mut b.engine);
+        let (end, os) = run_harness(w, &mut b, budget);
+        if end.timed_out() {
+            b.engine.poll_hang(b.cpu.now());
+        }
+        let (output, os_recoveries) = os.map_or((Vec::new(), 0), |os| {
+            let recoveries = os.stats().recoveries;
+            (os.output, recoveries)
+        });
+        let golden = matches_ref(&end, || result_digest(w, &b.cpu, image), &output, r);
+        Trial {
+            w,
+            image,
+            budget,
+            mlr_seed,
+            pre,
+            b,
+            end,
+            output,
+            os_recoveries,
+            golden,
+        }
+    }
+
+    /// Which module detected the fault: the ICM's per-word comparison
+    /// or the DSM's block signature on bare harnesses; on OS harnesses
+    /// the DDT, through an NX trap the pipeline latched or an OS recovery.
+    pub fn detected_by(&self) -> Option<ModuleId> {
+        if self.w.harness.is_os() {
+            (self.b.cpu.nx_violation().is_some() || self.os_recoveries > 0).then_some(ModuleId::DDT)
+        } else {
+            detecting_module(&self.b.engine)
+        }
+    }
+
+    /// The harness's target module, if its health machine took it down.
+    pub fn down(&self) -> Option<ModuleId> {
+        self.w
+            .harness
+            .target_module()
+            .filter(|&m| self.b.engine.module_health(m).is_down())
+    }
+
+    /// Whether the framework tripped global safe mode.
+    pub fn safe_mode(&self) -> bool {
+        self.b.engine.safe_mode().is_some()
+    }
+
+    /// Cycles the run took.
+    pub fn cycles(&self) -> u64 {
+        self.b.cpu.now()
+    }
+
+    /// One checkpoint-rollback re-execution: memory is repopulated
+    /// strictly from the pre-run checkpoint store, the context reset to
+    /// the process entry, `strike` (if any) re-armed, and the guest
+    /// re-driven under the run's budget with the run's MLR seed.
+    ///
+    /// With `tiered` set, a bare harness, and no strike, the re-execution
+    /// is fault-free and judged only by its result digest — exactly the
+    /// case where the functional tier is exact by the differential
+    /// invariant (golden ≡ pipeline) — so it runs under the
+    /// [`TieredDriver`] with [`Window::none`] and never enters the
+    /// cycle-accurate tier. Every other re-execution runs cycle-accurate.
+    ///
+    /// Returns `Ok(())` when the re-run reproduces the golden result, or
+    /// the cause recorded with the safe-mode halt.
+    pub fn rerun(
+        &self,
+        r: &RefState,
+        tiered: bool,
+        strike: Option<&FaultPlan>,
+    ) -> Result<(), String> {
+        let (w, image) = (self.w, self.image);
+        let (end, golden) = if tiered && !w.harness.is_os() && strike.is_none() {
+            let mut d = TieredDriver::new(
+                image,
+                PipelineConfig::default(),
+                MemConfig::with_framework(),
+            );
+            self.restore(d.memory_mut())?;
+            d.install_context(&entry_context(image));
+            // `budget` is a cycle budget (4×ref cycles + slack); with a
+            // 4-wide commit the same number safely over-covers the run's
+            // instruction count, so it doubles as functional fuel.
+            let end = TrialEnd::Bare(
+                match d.run(&mut NullCoProcessor, &Window::none(), self.budget) {
+                    ExecEvent::Halted => RawEnd::Halted,
+                    ExecEvent::OutOfFuel => RawEnd::TimedOut,
+                    ExecEvent::Syscall => RawEnd::Crash("unexpected syscall trap"),
+                    ExecEvent::Exception(_) => RawEnd::Crash("unexpected coprocessor exception"),
+                },
+            );
+            let digest = || result_digest_parts(w, d.regs(), d.memory(), image);
+            let golden = matches_ref(&end, digest, &[], r);
+            (end, golden)
+        } else {
+            let mut b = build_harness(w, image, self.budget, self.mlr_seed);
+            self.restore(&mut b.cpu.mem_mut().memory)?;
+            b.cpu.mem_mut().invalidate_caches();
+            b.cpu.set_context(&entry_context(image));
+            if let Some(plan) = strike {
+                plan.arm(&mut b.cpu, &mut b.engine);
+            }
+            let (end, os) = run_harness(w, &mut b, self.budget);
+            let output = os.map(|os| os.output).unwrap_or_default();
+            let golden = matches_ref(&end, || result_digest(w, &b.cpu, image), &output, r);
+            (end, golden)
+        };
+        match end {
+            _ if golden => Ok(()),
+            TrialEnd::Bare(RawEnd::Halted) | TrialEnd::Os(OsExit::Exited { code: 0 }) => {
+                Err("re-executed state diverged from golden".into())
+            }
+            TrialEnd::Bare(RawEnd::TimedOut) => {
+                Err("re-execution after rollback did not complete".into())
+            }
+            TrialEnd::Bare(RawEnd::Crash(why)) => {
+                Err(format!("re-execution after rollback crashed: {why}"))
+            }
+            TrialEnd::Os(other) => Err(format!("re-execution after rollback ended with {other:?}")),
+        }
+    }
+
+    /// The checkpoint-rollback recovery verdict: one fault-free
+    /// [`Trial::rerun`], `recovered:checkpoint-rollback` on a golden
+    /// match and a safe-mode halt with the cause otherwise.
+    pub fn rollback(&self, r: &RefState, tiered: bool) -> RecoveryStatus {
+        match self.rerun(r, tiered, None) {
+            Ok(()) => RecoveryStatus::Succeeded {
+                mechanism: "checkpoint-rollback",
+            },
+            Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
+        }
+    }
+
+    /// Restores every pre-run page from the checkpoint store. A missing
+    /// page means recovery has insufficient information, exactly the
+    /// §4.2.2 whole-process-termination case.
+    fn restore(&self, mem: &mut SparseMemory) -> Result<(), String> {
+        for &page in &self.pre.pages {
+            let cp = self
+                .pre
+                .store
+                .earliest_for(page)
+                .ok_or_else(|| format!("missing checkpoint for page {page:#x}"))?;
+            mem.restore_page(page_base(page), &cp.data);
+        }
+        Ok(())
+    }
 }
 
 /// Executes one fault-injection run and classifies it.
 ///
 /// With [`CampaignOptions::tiered`] set, the checkpoint-rollback
 /// re-execution (the only deterministic, fault-free segment of a run)
-/// executes on the functional tier via the [`TieredDriver`]; the faulty
+/// executes on the functional tier (see [`Trial::rerun`]); the faulty
 /// run itself stays fully cycle-accurate so classification and the
 /// recorded cycle counts are bit-for-bit unchanged.
 pub fn run_one_with(
@@ -568,141 +679,63 @@ pub fn run_one_with(
 ) -> RunRecord {
     let image = assemble(w.source).expect("corpus workload assembles");
     let plan = FaultPlan::sample(model, seed, &r.profile);
-    let budget = fault_budget(r);
-    let (outcome, recovery, cycles) = match w.harness {
-        Harness::Bare | Harness::Icm | Harness::Dsm => {
-            let mut b = build_harness(w, &image, budget);
-            let pre = capture_checkpoints(&b.cpu.mem().memory);
-            plan.arm(&mut b.cpu, &mut b.engine);
-            let end = drive(&mut b.cpu, &mut b.engine, budget);
-            if end == RawEnd::TimedOut {
-                // Latch the watchdog's one-shot hang detector.
-                b.engine.poll_hang(b.cpu.now());
-            }
-            let detected_by = detecting_module(&b.engine);
-            let detected = detected_by.is_some();
-            let digest = result_digest(w, &b.cpu, &image);
-            let down_target = w
-                .harness
-                .target_module()
-                .filter(|&m| b.engine.module_health(m).is_down());
-            let outcome = if let Some(m) = down_target {
-                Outcome::Degraded(m)
-            } else if let Some(m) = detected_by {
-                Outcome::DetectedByModule(m)
-            } else if b.engine.safe_mode().is_some() {
-                Outcome::WatchdogTimeout
-            } else if b.engine.stats().quarantines > 0 {
-                Outcome::Contained
+    let t = Trial::observe(w, &image, r, None, &plan);
+    let outcome = if let Some(m) = t.down() {
+        Outcome::Degraded(m)
+    } else if let Some(m) = t.detected_by() {
+        Outcome::DetectedByModule(m)
+    } else if t.safe_mode() {
+        Outcome::WatchdogTimeout
+    } else if t.b.engine.stats().quarantines > 0 {
+        Outcome::Contained
+    } else if t.end.timed_out() {
+        Outcome::Hang
+    } else if t.end.crashed() {
+        Outcome::CrashTrap
+    } else if t.golden {
+        Outcome::Masked
+    } else {
+        Outcome::Sdc
+    };
+    let recovery = match (&t.end, outcome) {
+        (_, Outcome::Degraded(_)) if t.golden => RecoveryStatus::Succeeded {
+            mechanism: "quarantine-nop-mux",
+        },
+        (_, Outcome::Contained) if t.golden => RecoveryStatus::Succeeded {
+            mechanism: "probe-re-enable",
+        },
+        (TrialEnd::Bare(_), Outcome::Masked | Outcome::Sdc) => RecoveryStatus::NotNeeded,
+        (TrialEnd::Bare(_), _) if t.golden => RecoveryStatus::Succeeded {
+            mechanism: if matches!(outcome, Outcome::DetectedByModule(_)) {
+                "flush-refetch"
             } else {
-                match end {
-                    RawEnd::TimedOut => Outcome::Hang,
-                    RawEnd::Crash(_) => Outcome::CrashTrap,
-                    RawEnd::Halted => {
-                        if digest == r.digest {
-                            Outcome::Masked
-                        } else {
-                            Outcome::Sdc
-                        }
-                    }
-                }
-            };
-            let recovery = match outcome {
-                Outcome::Masked | Outcome::Sdc => RecoveryStatus::NotNeeded,
-                Outcome::Degraded(_) if end == RawEnd::Halted && digest == r.digest => {
-                    RecoveryStatus::Succeeded {
-                        mechanism: "quarantine-nop-mux",
-                    }
-                }
-                Outcome::Contained if end == RawEnd::Halted && digest == r.digest => {
-                    RecoveryStatus::Succeeded {
-                        mechanism: "probe-re-enable",
-                    }
-                }
-                _ if end == RawEnd::Halted && digest == r.digest => RecoveryStatus::Succeeded {
-                    mechanism: if detected {
-                        "flush-refetch"
-                    } else {
-                        "safe-mode-decouple"
-                    },
-                },
-                _ => match if opts.tiered {
-                    rollback_and_rerun_tiered(w, &image, &pre, budget)
-                } else {
-                    rollback_and_rerun(w, &image, &pre, budget)
-                } {
-                    Ok(d) if d == r.digest => RecoveryStatus::Succeeded {
-                        mechanism: "checkpoint-rollback",
-                    },
-                    Ok(_) => RecoveryStatus::FailedSafeHalt {
-                        cause: "re-executed state diverged from golden".into(),
-                    },
-                    Err(cause) => RecoveryStatus::FailedSafeHalt { cause },
-                },
-            };
-            (outcome, recovery, b.cpu.now())
+                "safe-mode-decouple"
+            },
+        },
+        (TrialEnd::Bare(_), _) => t.rollback(r, opts.tiered),
+        (TrialEnd::Os(exit), Outcome::Degraded(_) | Outcome::Contained) => {
+            RecoveryStatus::FailedSafeHalt {
+                cause: format!(
+                    "degraded-mode run diverged (output {:?}, exit {:?})",
+                    t.output, exit
+                ),
+            }
         }
-        Harness::DdtOs | Harness::MlrOs | Harness::OsBare | Harness::NxOs => {
-            let mut b = build_harness(w, &image, budget);
-            plan.arm(&mut b.cpu, &mut b.engine);
-            let mut os = Os::new(OsConfig::default());
-            let exit = os.run(&mut b.cpu, &mut b.engine, budget);
-            if exit == OsExit::Timeout {
-                b.engine.poll_hang(b.cpu.now());
-            }
-            let detected = os.stats().recoveries > 0;
-            let down_target = w
-                .harness
-                .target_module()
-                .filter(|&m| b.engine.module_health(m).is_down());
-            let outcome = if let Some(m) = down_target {
-                Outcome::Degraded(m)
-            } else if detected {
-                Outcome::DetectedByModule(ModuleId::DDT)
-            } else if b.engine.safe_mode().is_some() {
-                Outcome::WatchdogTimeout
-            } else if b.engine.stats().quarantines > 0 {
-                Outcome::Contained
-            } else {
-                match &exit {
-                    OsExit::Timeout => Outcome::Hang,
-                    OsExit::ProcessKilled { .. } => Outcome::CrashTrap,
-                    OsExit::Exited { code: 0 } if os.output == r.output => Outcome::Masked,
-                    _ => Outcome::Sdc,
+        (TrialEnd::Os(exit), Outcome::DetectedByModule(_)) => {
+            if *exit == (OsExit::Exited { code: 0 }) && t.output == DDT_RECOVERED_OUTPUT {
+                RecoveryStatus::Succeeded {
+                    mechanism: "ddt-checkpoint-rollback",
                 }
-            };
-            let run_ok = exit == (OsExit::Exited { code: 0 }) && os.output == r.output;
-            let recovery = match outcome {
-                Outcome::Degraded(_) if run_ok => RecoveryStatus::Succeeded {
-                    mechanism: "quarantine-nop-mux",
-                },
-                Outcome::Contained if run_ok => RecoveryStatus::Succeeded {
-                    mechanism: "probe-re-enable",
-                },
-                Outcome::Degraded(_) | Outcome::Contained => RecoveryStatus::FailedSafeHalt {
+            } else {
+                RecoveryStatus::FailedSafeHalt {
                     cause: format!(
-                        "degraded-mode run diverged (output {:?}, exit {:?})",
-                        os.output, exit
+                        "post-recovery run diverged (output {:?}, exit {:?})",
+                        t.output, exit
                     ),
-                },
-                Outcome::DetectedByModule(_) => {
-                    if exit == (OsExit::Exited { code: 0 }) && os.output == DDT_RECOVERED_OUTPUT {
-                        RecoveryStatus::Succeeded {
-                            mechanism: "ddt-checkpoint-rollback",
-                        }
-                    } else {
-                        RecoveryStatus::FailedSafeHalt {
-                            cause: format!(
-                                "post-recovery run diverged (output {:?}, exit {:?})",
-                                os.output, exit
-                            ),
-                        }
-                    }
                 }
-                _ => RecoveryStatus::NotNeeded,
-            };
-            (outcome, recovery, b.cpu.now())
+            }
         }
+        (TrialEnd::Os(_), _) => RecoveryStatus::NotNeeded,
     };
     RunRecord {
         workload: w.name,
@@ -711,17 +744,9 @@ pub fn run_one_with(
         seed,
         outcome,
         recovery,
-        cycles,
+        cycles: t.cycles(),
         faults: plan.describe(),
     }
-}
-
-/// Convenience: reference + single run for a named workload. Returns
-/// `None` for an unknown workload name.
-pub fn run_one_by_name(name: &str, model: FaultModel, seed: u64) -> Option<RunRecord> {
-    let w = by_name(name)?;
-    let r = reference(w);
-    Some(run_one(w, model, 0, seed, &r))
 }
 
 /// One campaign cell: `runs` injections of `model` into `workload`.
@@ -878,53 +903,105 @@ pub fn run_campaign(spec: &CampaignSpec) -> Vec<RunRecord> {
     run_campaign_with(spec, &CampaignOptions::default())
 }
 
-/// Executes a campaign under [`CampaignOptions`].
-///
-/// Sharding is run-level and embarrassingly parallel: every `(cell,
-/// run)` job's seed is precomputed from the spec alone, the golden
-/// references are computed once up front, worker `t` of `T` takes jobs
-/// `t, t+T, t+2T, …` (round-robin, so long cells spread across
-/// workers), and the results are merged back by global run index. The
-/// merged record vector — and therefore [`to_jsonl`] — is byte-for-byte
-/// identical for every thread count.
+/// Executes a campaign under [`CampaignOptions`] (see [`run_cells`]):
+/// the merged record vector — and therefore [`to_jsonl`] — is
+/// byte-for-byte identical for every thread count and tiering choice.
 ///
 /// # Panics
 ///
 /// Panics as [`run_campaign`] does on an invalid spec, and propagates
 /// any worker panic.
 pub fn run_campaign_with(spec: &CampaignSpec, opts: &CampaignOptions) -> Vec<RunRecord> {
-    for cell in &spec.cells {
-        let w = by_name(cell.workload)
-            .unwrap_or_else(|| panic!("unknown workload {:?}", cell.workload));
-        assert!(
-            cell.model.applicable(w),
-            "model {} is not applicable to workload {}",
-            cell.model,
-            w.name
-        );
+    let cells = spec.cells.iter().map(|c| (c.workload, c.model, c.runs));
+    run_cells(
+        spec.base_seed,
+        cells,
+        opts.threads,
+        |w, model, run, seed, r| run_one_with(w, model, run, seed, r, opts),
+    )
+}
+
+/// What the shared campaign runner needs of a cell's model: the kind of
+/// subject a cell names, whether the model applies to it, and the stable
+/// index folded into the per-run seed. Implemented by [`FaultModel`]
+/// (subjects are corpus workloads) and by `rse-attack`'s attack models
+/// (subjects are victims).
+pub trait CellModel: Copy + Sync + std::fmt::Display {
+    /// What a cell runs against.
+    type Subject: Sync + 'static;
+    /// The subject noun spec-validation panics use.
+    const SUBJECT: &'static str;
+    /// Resolves a subject by name.
+    fn subject(name: &str) -> Option<&'static Self::Subject>;
+    /// The workload a subject runs.
+    fn workload(s: &Self::Subject) -> &Workload;
+    /// Whether the model applies to the subject.
+    fn applies_to(self, s: &Self::Subject) -> bool;
+    /// The model's stable seed-derivation index.
+    fn seed_index(self) -> u64;
+}
+
+impl CellModel for FaultModel {
+    type Subject = Workload;
+    const SUBJECT: &'static str = "workload";
+    fn subject(name: &str) -> Option<&'static Workload> {
+        by_name(name)
     }
-    let mut refs: BTreeMap<&str, RefState> = BTreeMap::new();
-    for cell in &spec.cells {
-        let w = by_name(cell.workload).expect("validated above");
-        refs.entry(w.name).or_insert_with(|| reference(w));
+    fn workload(w: &Workload) -> &Workload {
+        w
     }
-    let jobs: Vec<(&'static Workload, FaultModel, u32, u64)> = spec
-        .cells
-        .iter()
-        .flat_map(|cell| {
-            let w = by_name(cell.workload).expect("validated above");
-            (0..cell.runs).map(move |run| {
-                (
-                    w,
-                    cell.model,
-                    run,
-                    derive_seed(spec.base_seed, w.name, cell.model, run),
-                )
-            })
+    fn applies_to(self, w: &Workload) -> bool {
+        self.applicable(w)
+    }
+    fn seed_index(self) -> u64 {
+        self.index()
+    }
+}
+
+/// The campaign body shared by the fault and attack runners. Every
+/// `(subject, model, runs)` cell is validated before anything runs (a
+/// bad spec never half-runs), each subject's golden reference is computed
+/// once, every `(cell, run)` job's seed is precomputed from the spec
+/// alone ([`cell_seed`]), and the jobs are sharded with [`run_sharded`],
+/// so the result vector is identical at every thread count.
+///
+/// # Panics
+///
+/// Panics if a cell names an unknown subject or an inapplicable model,
+/// and propagates any worker panic.
+pub fn run_cells<M: CellModel, R: Send>(
+    base_seed: u64,
+    cells: impl IntoIterator<Item = (&'static str, M, u32)>,
+    threads: usize,
+    job: impl Fn(&'static M::Subject, M, u32, u64, &RefState) -> R + Sync,
+) -> Vec<R> {
+    let cells: Vec<(&'static M::Subject, M, u32)> = cells
+        .into_iter()
+        .map(|(name, model, runs)| {
+            let s = M::subject(name).unwrap_or_else(|| panic!("unknown {} {name:?}", M::SUBJECT));
+            assert!(
+                model.applies_to(s),
+                "model {model} is not applicable to {} {}",
+                M::SUBJECT,
+                M::workload(s).name
+            );
+            (s, model, runs)
         })
         .collect();
-    run_sharded(&jobs, opts.threads, |_, &(w, model, run, seed)| {
-        run_one_with(w, model, run, seed, &refs[w.name], opts)
+    let mut refs: BTreeMap<&str, RefState> = BTreeMap::new();
+    for &(s, _, _) in &cells {
+        let w = M::workload(s);
+        refs.entry(w.name).or_insert_with(|| reference(w));
+    }
+    let jobs: Vec<(&'static M::Subject, M, u32, u64)> = cells
+        .iter()
+        .flat_map(|&(s, model, runs)| {
+            let name = M::workload(s).name;
+            (0..runs).map(move |run| (s, model, run, cell_seed(base_seed, name, model, run)))
+        })
+        .collect();
+    run_sharded(&jobs, threads, |_, &(s, model, run, seed)| {
+        job(s, model, run, seed, &refs[M::workload(s).name])
     })
 }
 
@@ -1068,7 +1145,14 @@ mod tests {
         let w = by_name("icm_loop").unwrap();
         let r = reference(w);
         let seed = derive_seed(3, w.name, FaultModel::ModValidStuck0, 0);
-        let rec = run_one(w, FaultModel::ModValidStuck0, 0, seed, &r);
+        let rec = run_one_with(
+            w,
+            FaultModel::ModValidStuck0,
+            0,
+            seed,
+            &r,
+            &CampaignOptions::default(),
+        );
         assert!(
             rec.outcome.is_confined(),
             "expected containment, got {}",
@@ -1141,6 +1225,84 @@ mod tests {
                 },
             ));
             assert_eq!(base, sharded, "threads={threads}");
+        }
+    }
+
+    /// A fault-free observed run of the named workload, for driving
+    /// [`Trial::rerun`] into each of its failure causes.
+    fn control_trial<'a>(w: &'a Workload, image: &'a Image, r: &RefState) -> Trial<'a> {
+        Trial::observe(w, image, r, None, &FaultPlan { faults: Vec::new() })
+    }
+
+    #[test]
+    fn rerun_reaches_golden_on_both_tiers() {
+        for name in ["icm_loop", "ddt_recover"] {
+            let w = by_name(name).unwrap();
+            let image = assemble(w.source).unwrap();
+            let r = reference(w);
+            let t = control_trial(w, &image, &r);
+            assert!(t.golden, "{name}");
+            for tiered in [false, true] {
+                assert_eq!(t.rerun(&r, tiered, None), Ok(()), "{name} tiered={tiered}");
+            }
+        }
+    }
+
+    #[test]
+    fn rerun_cause_strings_are_pinned() {
+        let w = by_name("alu_loop").unwrap();
+        let image = assemble(w.source).unwrap();
+        let r = reference(w);
+        let mut t = control_trial(w, &image, &r);
+        let mut wrong = r.clone();
+        wrong.digest ^= 1;
+        for tiered in [false, true] {
+            assert_eq!(
+                t.rerun(&wrong, tiered, None),
+                Err("re-executed state diverged from golden".into()),
+                "tiered={tiered}"
+            );
+        }
+        t.budget = 50;
+        for tiered in [false, true] {
+            assert_eq!(
+                t.rerun(&r, tiered, None),
+                Err("re-execution after rollback did not complete".into()),
+                "tiered={tiered}"
+            );
+        }
+        // Drop the data page: the text page before it restores, then the
+        // rollback stops on the first page the store cannot supply.
+        let data_page = *t.pre.pages.last().unwrap();
+        t.pre.store.forget_page(data_page);
+        for tiered in [false, true] {
+            assert_eq!(
+                t.rerun(&r, tiered, None),
+                Err("missing checkpoint for page 0x10000".into()),
+                "tiered={tiered}"
+            );
+        }
+    }
+
+    #[test]
+    fn os_rerun_cause_strings_are_pinned() {
+        let w = by_name("ddt_recover").unwrap();
+        let image = assemble(w.source).unwrap();
+        let r = reference(w);
+        let mut t = control_trial(w, &image, &r);
+        let mut wrong = r.clone();
+        wrong.output.push(7);
+        assert_eq!(
+            t.rerun(&wrong, false, None),
+            Err("re-executed state diverged from golden".into())
+        );
+        t.budget = 50;
+        for tiered in [false, true] {
+            assert_eq!(
+                t.rerun(&r, tiered, None),
+                Err("re-execution after rollback ended with Timeout".into()),
+                "tiered={tiered}"
+            );
         }
     }
 

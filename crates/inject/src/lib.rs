@@ -22,10 +22,11 @@
 //! * [`outcome`] — the outcome taxonomy ([`Outcome`]), the recovery
 //!   verdict ([`RecoveryStatus`]), JSON-lines records and the
 //!   detection-coverage histogram,
-//! * [`campaign`] — the runner: golden reference execution, faulty run,
-//!   classification against the golden state, and the recovery path
-//!   (checkpoint rollback + re-execution when a detection fired but the
-//!   architectural state diverged).
+//! * [`campaign`] — the runner and its trial kernel: golden reference
+//!   execution, one observed faulty run ([`Trial::observe`]),
+//!   classification against the golden state, and one recovery path
+//!   ([`Trial::rerun`]: checkpoint rollback + re-execution when a
+//!   detection fired but the architectural state diverged).
 //!
 //! Everything is deterministic: same spec + same base seed → byte-for-byte
 //! identical JSONL, on any host. The only randomness source is the
@@ -34,12 +35,15 @@
 //! # Example
 //!
 //! ```
-//! use rse_inject::{run_one_by_name, FaultModel};
+//! use rse_inject::{by_name, reference, run_one_with, CampaignOptions, FaultModel};
 //!
 //! // Replay a single run of the campaign: seed → fault → outcome.
-//! let record = run_one_by_name("alu_loop", FaultModel::Control, 42).unwrap();
+//! let w = by_name("alu_loop").unwrap();
+//! let r = reference(w);
+//! let opts = CampaignOptions::default();
+//! let record = run_one_with(w, FaultModel::Control, 0, 42, &r, &opts);
 //! assert_eq!(record.outcome.tag(), "masked"); // no fault injected
-//! let again = run_one_by_name("alu_loop", FaultModel::Control, 42).unwrap();
+//! let again = run_one_with(w, FaultModel::Control, 0, 42, &r, &opts);
 //! assert_eq!(record.to_json(), again.to_json());
 //! ```
 
@@ -53,11 +57,10 @@ pub mod snapshot;
 pub mod workload;
 
 pub use campaign::{
-    build_harness, build_harness_seeded, capture_checkpoints, derive_seed, detecting_module, drive,
-    fault_budget, reference, result_digest, result_digest_parts, rollback_and_rerun,
-    rollback_and_rerun_bounded, rollback_and_rerun_tiered, run_campaign, run_campaign_with,
-    run_one, run_one_by_name, run_one_with, run_sharded, to_jsonl, BuiltHarness, CampaignCell,
-    CampaignOptions, CampaignSpec, PreRunCheckpoints, RawEnd, RefState,
+    build_harness, cell_seed, derive_seed, fault_budget, reference, result_digest,
+    result_digest_parts, run_campaign, run_campaign_with, run_cells, run_one_with, run_sharded,
+    to_jsonl, BuiltHarness, CampaignCell, CampaignOptions, CampaignSpec, CellModel, RawEnd,
+    RefState, Trial, TrialEnd,
 };
 pub use fault::{FaultModel, FaultPlan, PlannedFault, RunProfile};
 pub use outcome::{

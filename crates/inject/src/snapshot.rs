@@ -112,14 +112,6 @@ impl Fnv {
     }
 }
 
-/// FNV-1a digest of a string (used for seed derivation from workload
-/// names).
-pub(crate) fn fnv_str(s: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.write_bytes(s.as_bytes());
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,9 +187,17 @@ mod tests {
 
     #[test]
     fn fnv_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv_str(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv_str("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv_str("foobar"), 0x8594_4171_f739_67e8);
+        // Standard FNV-1a test vectors, for the digest hasher and for
+        // the `fnv1a64` seed derivation hashes subject names with.
+        for (s, want) in [
+            ("", 0xcbf2_9ce4_8422_2325),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv::new();
+            h.write_bytes(s.as_bytes());
+            assert_eq!(h.finish(), want);
+            assert_eq!(rse_support::rng::fnv1a64(s.as_bytes()), want);
+        }
     }
 }

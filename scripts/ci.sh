@@ -9,6 +9,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every replay output and mutation log lands in one scratch directory,
+# removed on exit whichever gate stops the script.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -36,8 +41,7 @@ echo "== fault-injection smoke campaign (64 runs, fixed seed)"
 # diff here means an intentional behavior change — regenerate with:
 #   cargo run --release --offline -p rse-bench --bin campaign -- \
 #     --smoke --no-table --out tests/golden/campaign_smoke.jsonl
-SMOKE_A="$(mktemp)"; SMOKE_B="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B"' EXIT
+SMOKE_A="$SCRATCH/smoke_a"; SMOKE_B="$SCRATCH/smoke_b"
 cargo run --release --offline -q -p rse-bench --bin campaign -- \
   --smoke --no-table --out "$SMOKE_A" 2>/dev/null
 cargo run --release --offline -q -p rse-bench --bin campaign -- \
@@ -57,8 +61,7 @@ echo "== quarantine campaign (module-targeted faults, fixed seed)"
 # Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin campaign -- \
 #     --quarantine --runs 4 --no-table --out tests/golden/campaign_quarantine.jsonl
-QUAR_A="$(mktemp)"; QUAR_B="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B"' EXIT
+QUAR_A="$SCRATCH/quar_a"; QUAR_B="$SCRATCH/quar_b"
 cargo run --release --offline -q -p rse-bench --bin campaign -- \
   --quarantine --runs 4 --no-table --out "$QUAR_A" 2>/dev/null
 cargo run --release --offline -q -p rse-bench --bin campaign -- \
@@ -74,8 +77,7 @@ echo "== adversarial attack smoke campaign (100 runs, fixed seed)"
 # and neither tiering nor sharding may change a byte. Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin attack_campaign -- \
 #     --smoke --no-table --out tests/golden/attack_smoke.jsonl
-ATK_A="$(mktemp)"; ATK_B="$(mktemp)"; ATK_T="$(mktemp)"; ATK_S="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S"' EXIT
+ATK_A="$SCRATCH/atk_a"; ATK_B="$SCRATCH/atk_b"; ATK_T="$SCRATCH/atk_t"; ATK_S="$SCRATCH/atk_s"
 cargo run --release --offline -q -p rse-bench --bin attack_campaign -- \
   --smoke --no-table --out "$ATK_A" 2>/dev/null
 cargo run --release --offline -q -p rse-bench --bin attack_campaign -- \
@@ -102,8 +104,7 @@ echo "== adaptive attack campaign (66 runs: chains, recovery strikes, DSM)"
 # Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin attack_campaign -- \
 #     --adaptive --no-table --out tests/golden/attack_adaptive.jsonl
-ADP_A="$(mktemp)"; ADP_B="$(mktemp)"; ADP_T="$(mktemp)"; ADP_S="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S"' EXIT
+ADP_A="$SCRATCH/adp_a"; ADP_B="$SCRATCH/adp_b"; ADP_T="$SCRATCH/adp_t"; ADP_S="$SCRATCH/adp_s"
 cargo run --release --offline -q -p rse-bench --bin attack_campaign -- \
   --adaptive --no-table --out "$ADP_A" 2>/dev/null
 cargo run --release --offline -q -p rse-bench --bin attack_campaign -- \
@@ -152,8 +153,7 @@ echo "== randomization entropy study (4-victim corpus, success vs rerand period)
 # Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin attack_campaign -- \
 #     --entropy --out BENCH_attack.json
-ENT_A="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S" "$ENT_A"' EXIT
+ENT_A="$SCRATCH/ent_a"
 cargo run --release --offline -q -p rse-bench --bin attack_campaign -- \
   --entropy --out "$ENT_A" 2>/dev/null \
   || { echo "FAIL: entropy study failed its strict-decrease gate"; exit 1; }
@@ -184,8 +184,7 @@ echo "== fleet soak smoke campaign (52 runs, 5 nodes, fixed seed)"
 # Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
 #     --smoke --no-table --out tests/golden/fleet_soak_smoke.jsonl
-FLEET_A="$(mktemp)"; FLEET_B="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S" "$ENT_A" "$FLEET_A" "$FLEET_B"' EXIT
+FLEET_A="$SCRATCH/fleet_a"; FLEET_B="$SCRATCH/fleet_b"
 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
   --smoke --no-table --out "$FLEET_A" 2>/dev/null
 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
@@ -214,8 +213,7 @@ echo "== tiered + sharded smoke campaigns (must be byte-identical to golden)"
 # cycle-accurate and the sharded merge is ordered by run index. All
 # three variants must match the same pinned golden as the sequential
 # smoke campaign above.
-TIER_A="$(mktemp)"; SHARD_A="$(mktemp)"; BOTH_A="$(mktemp)"; FLEET_T="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S" "$ENT_A" "$FLEET_A" "$FLEET_B" "$TIER_A" "$SHARD_A" "$BOTH_A" "$FLEET_T"' EXIT
+TIER_A="$SCRATCH/tier_a"; SHARD_A="$SCRATCH/shard_a"; BOTH_A="$SCRATCH/both_a"; FLEET_T="$SCRATCH/fleet_t"
 cargo run --release --offline -q -p rse-bench --bin campaign -- \
   --smoke --no-table --tiered --out "$TIER_A" 2>/dev/null
 diff -u tests/golden/campaign_smoke.jsonl "$TIER_A" \
@@ -242,8 +240,7 @@ echo "== lockstep fleet soak (equivalence shim, same golden)"
 # the same smoke spec on the legacy per-cycle engine. Both must match
 # the SAME pinned golden byte-for-byte — the discrete-event refactor's
 # standing equivalence proof.
-FLEET_L="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S" "$ENT_A" "$FLEET_A" "$FLEET_B" "$TIER_A" "$SHARD_A" "$BOTH_A" "$FLEET_T" "$FLEET_L"' EXIT
+FLEET_L="$SCRATCH/fleet_l"
 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
   --smoke --no-table --lockstep --out "$FLEET_L" 2>/dev/null
 diff -u tests/golden/fleet_soak_smoke.jsonl "$FLEET_L" \
@@ -258,8 +255,7 @@ echo "== 1k-node churn smoke campaign (chaos engine, fixed seed)"
 # the weather runs must actually fail over. Regenerate with:
 #   cargo run --release --offline -p rse-bench --bin fleet_soak -- \
 #     --churn --no-table --out tests/golden/churn_smoke.jsonl
-CHURN_A="$(mktemp)"; CHURN_B="$(mktemp)"
-trap 'rm -f "$SMOKE_A" "$SMOKE_B" "$QUAR_A" "$QUAR_B" "$ATK_A" "$ATK_B" "$ATK_T" "$ATK_S" "$ADP_A" "$ADP_B" "$ADP_T" "$ADP_S" "$ENT_A" "$FLEET_A" "$FLEET_B" "$TIER_A" "$SHARD_A" "$BOTH_A" "$FLEET_T" "$FLEET_L" "$CHURN_A" "$CHURN_B"' EXIT
+CHURN_A="$SCRATCH/churn_a"; CHURN_B="$SCRATCH/churn_b"
 timeout 300 cargo run --release --offline -q -p rse-bench --bin fleet_soak -- \
   --churn --no-table --out "$CHURN_A" --bench-json BENCH_fleet.json 2>/dev/null \
   || { echo "FAIL: churn smoke failed or blew the 300s wall-clock budget"; exit 1; }
@@ -300,22 +296,20 @@ cargo run --release --offline -q -p rse-mc --bin mc_fleet
 # contact lease must produce a printed split-brain counterexample and
 # a non-zero exit.
 if RSE_MC_MUTATE=no-self-fence cargo run --release --offline -q \
-    -p rse-mc --bin mc_fleet >"${TMPDIR:-/tmp}/mc_mutate.out" 2>&1; then
+    -p rse-mc --bin mc_fleet >"$SCRATCH/mc_mutate.out" 2>&1; then
   echo "FAIL: seeded no-self-fence mutation was not caught"; exit 1
 fi
-grep -q "counterexample: invariant 'split-brain'" "${TMPDIR:-/tmp}/mc_mutate.out" \
+grep -q "counterexample: invariant 'split-brain'" "$SCRATCH/mc_mutate.out" \
   || { echo "FAIL: mutation run printed no counterexample trace"; exit 1; }
-rm -f "${TMPDIR:-/tmp}/mc_mutate.out"
 # Likewise for the health ladder the quarantine-evade attack leans on: a
 # forged ErrorBurst storm that could jump straight to Disabled must be a
 # printed legal-edge counterexample, not a pass.
 if RSE_MC_MUTATE=forged-burst-disable cargo run --release --offline -q \
-    -p rse-mc --bin mc_health >"${TMPDIR:-/tmp}/mc_mutate.out" 2>&1; then
+    -p rse-mc --bin mc_health >"$SCRATCH/mc_mutate.out" 2>&1; then
   echo "FAIL: seeded forged-burst-disable mutation was not caught"; exit 1
 fi
-grep -q "counterexample: invariant 'legal-edge'" "${TMPDIR:-/tmp}/mc_mutate.out" \
+grep -q "counterexample: invariant 'legal-edge'" "$SCRATCH/mc_mutate.out" \
   || { echo "FAIL: health mutation run printed no counterexample trace"; exit 1; }
-rm -f "${TMPDIR:-/tmp}/mc_mutate.out"
 echo "model checking: four theorem groups verified; seeded mutations caught"
 
 echo "== tiered execution speed curve (BENCH_tiered.json, gate >= 5x)"

@@ -5,12 +5,15 @@
 //! MLR, these tests replay pinned scenarios from every guard/exposed
 //! twin pair through the `rse-attack` campaign engine and assert the
 //! *byte-exact* JSON record each seed expands to. The expected strings
-//! below are verbatim lines of `tests/golden/attack_smoke.jsonl`, so a
-//! drift in seed derivation, attack planning, classification, recovery
-//! tagging, or JSON shape fails here with a readable diff long before
-//! the golden-file comparison in CI does.
+//! below are verbatim lines of `tests/golden/attack_smoke.jsonl` and
+//! `tests/golden/attack_adaptive.jsonl`, so a drift in seed derivation,
+//! attack planning, classification, recovery tagging, or JSON shape
+//! fails here with a readable diff long before the golden-file
+//! comparison in CI does.
 
-use rse_attack::{derive_seed, run_one, victim_by_name, victims, AttackModel, AttackOutcome};
+use rse_attack::{
+    derive_seed, run_one_with, victim_by_name, victims, AttackModel, AttackOutcome, CampaignOptions,
+};
 use rse_inject::{reference, retry_mechanism, RecoveryStatus};
 use rse_isa::ModuleId;
 use rse_sys::DEFAULT_MAX_RERUN;
@@ -18,24 +21,29 @@ use rse_sys::DEFAULT_MAX_RERUN;
 /// Base seed shared with `attack_campaign --smoke` and `scripts/ci.sh`.
 const BASE_SEED: u64 = 0xD5B;
 
-/// Replays `(victim, model, run)` from the campaign base seed and
-/// asserts the record serializes byte-for-byte to the pinned golden
-/// line.
+/// Replays `(victim, model, run)` from the campaign base seed, once
+/// cycle-accurate and once with the functional-tier re-execution, and
+/// asserts both records serialize byte-for-byte to the pinned golden
+/// line. Seed-replayability is the engine's core contract: the same
+/// seed must expand to the same attack and the same outcome, always —
+/// and tiering may only change how fast.
 fn assert_pinned(victim: &str, model: AttackModel, run: u32, golden: &str) {
     let v = victim_by_name(victim).expect("victim exists");
     let r = reference(&v.workload);
     let seed = derive_seed(BASE_SEED, victim, model, run);
-    let rec = run_one(v, model, run, seed, &r);
-    assert_eq!(
-        rec.to_json(),
-        golden,
-        "{victim}/{}/run{run} drifted",
-        model.name()
-    );
-    // Seed-replayability is the engine's core contract: the same seed
-    // must expand to the same attack and the same outcome, always.
-    let again = run_one(v, model, run, seed, &r);
-    assert_eq!(rec.to_json(), again.to_json());
+    for tiered in [false, true] {
+        let opts = CampaignOptions {
+            tiered,
+            ..CampaignOptions::default()
+        };
+        let rec = run_one_with(v, model, run, seed, &r, &opts);
+        assert_eq!(
+            rec.to_json(),
+            golden,
+            "{victim}/{}/run{run} drifted (tiered={tiered})",
+            model.name()
+        );
+    }
 }
 
 /// The control group end to end: with no attack armed, every victim —
@@ -47,7 +55,14 @@ fn control_runs_are_prevented_on_every_victim() {
         let name = v.workload.name;
         let r = reference(&v.workload);
         let seed = derive_seed(BASE_SEED, name, AttackModel::Control, 0);
-        let rec = run_one(v, AttackModel::Control, 0, seed, &r);
+        let rec = run_one_with(
+            v,
+            AttackModel::Control,
+            0,
+            seed,
+            &r,
+            &CampaignOptions::default(),
+        );
         assert_eq!(rec.outcome.tag(), "prevented", "{name}: {}", rec.to_json());
         assert_eq!(rec.recovery.tag(), "not-needed", "{name}");
         assert_eq!(rec.attack, "none", "{name}");
@@ -193,7 +208,8 @@ fn recovery_window_strikes_recover_cleanly_or_escalate() {
         let r = reference(&v.workload);
         for run in 0..8 {
             let seed = derive_seed(BASE_SEED, victim, AttackModel::RecoveryStrike, run);
-            let rec = run_one(v, AttackModel::RecoveryStrike, run, seed, &r);
+            let opts = CampaignOptions::default();
+            let rec = run_one_with(v, AttackModel::RecoveryStrike, run, seed, &r, &opts);
             let outcome = rec.outcome.tag();
             let recovery = rec.recovery.tag();
             assert_ne!(
@@ -251,5 +267,49 @@ fn cfh_redirect_pinned_pair() {
         AttackModel::CfhRedirect,
         0,
         r#"{"victim":"branch_exposed","defended":false,"model":"cfh-redirect","run":0,"seed":16880743320931427420,"outcome":"compromised","recovery":"not-needed","cycles":113,"attack":"mem[0x00400014]:=0x0810000b@c102"}"#,
+    );
+}
+
+/// The recovery-window strike through both ends of the bounded rollback:
+/// a strike re-armed into the first re-execution only, cleared on the
+/// second (`recovered:retry2`; that attempt carries no strike, so it is
+/// the one the tiered replay moves to the functional tier), and a strike
+/// that outlasts the default budget on the DSM twin, escalating to
+/// `degraded:DSM` with the full `--max-rerun` cause. Pinned lines are
+/// verbatim from `tests/golden/attack_adaptive.jsonl`.
+#[test]
+fn recovery_strike_retry_and_escalation_pinned() {
+    assert_pinned(
+        "branch_guard",
+        AttackModel::RecoveryStrike,
+        0,
+        r#"{"victim":"branch_guard","defended":true,"model":"recovery-strike","run":0,"seed":424323461306852234,"outcome":"degraded:ICM","recovery":"recovered:retry2","cycles":716,"attack":"rw-strike[mem[0x00400014]^=0x00000001@c102;persist=1]"}"#,
+    );
+    assert_pinned(
+        "seq_guard",
+        AttackModel::RecoveryStrike,
+        1,
+        r#"{"victim":"seq_guard","defended":true,"model":"recovery-strike","run":1,"seed":12364547385147806663,"outcome":"degraded:DSM","recovery":"failed-safe-halt","recovery_cause":"retry budget exhausted after 3 rollback attempts (last: re-executed state diverged from golden); raise --max-rerun only if the recovery window is known to clear","cycles":369,"attack":"rw-strike[mem[0x00400024]^=0x10000000@c361;persist=3]"}"#,
+    );
+}
+
+/// The other two chains: a forged-burst quarantine of the ICM followed
+/// by a hijack that lands in the blind spot (`evaded:ICM`, repaired by
+/// one checkpoint rollback), and the full probe → leak → strike chain
+/// beating the MLR through its leaked base (`evaded:MLR`). Pinned lines
+/// are verbatim from `tests/golden/attack_adaptive.jsonl`.
+#[test]
+fn quarantine_evade_and_adaptive_chain_pinned() {
+    assert_pinned(
+        "branch_guard",
+        AttackModel::QuarantineEvade,
+        0,
+        r#"{"victim":"branch_guard","defended":true,"model":"quarantine-evade","run":0,"seed":7333478396815594337,"outcome":"evaded:ICM","recovery":"recovered:checkpoint-rollback","cycles":522,"attack":"evade[mem[0x30000008]^=0x00100000@c91; mem[0x00400014]:=0x0810000b@c511]"}"#,
+    );
+    assert_pinned(
+        "stack_guard",
+        AttackModel::AdaptiveChain,
+        0,
+        r#"{"victim":"stack_guard","defended":true,"model":"chain-adaptive","run":0,"seed":13581917778415344286,"outcome":"evaded:MLR","recovery":"not-needed","cycles":1905,"attack":"chain[probe:mem[0x7fffefc0]:=0x00400070@c513;leak:base=0x7f394fc0;strike:mem[0x7f394fc0]:=0x400070@c245]"}"#,
     );
 }

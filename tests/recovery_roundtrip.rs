@@ -6,7 +6,23 @@
 //! `(workload, model, seed)`, so these scenarios replay bit-identically
 //! on every host (see `rse_inject::derive_seed` / `FaultPlan::sample`).
 
-use rse_inject::{run_one_by_name, FaultModel, Outcome, RecoveryStatus};
+use rse_inject::{
+    by_name, reference, run_one_with, CampaignOptions, FaultModel, Outcome, RecoveryStatus,
+    RunRecord,
+};
+
+/// Reference plus one run (run index 0) of the named corpus workload.
+fn run_named(name: &str, model: FaultModel, seed: u64) -> RunRecord {
+    let w = by_name(name).expect("workload exists");
+    run_one_with(
+        w,
+        model,
+        0,
+        seed,
+        &reference(w),
+        &CampaignOptions::default(),
+    )
+}
 
 /// Pinned seed: flips bit 5 of the `beq` word of `icm_loop`'s text
 /// segment at cycle 201. The corrupted branch is ICM-checked on every
@@ -26,8 +42,7 @@ const DDT_CANARY_SEED: u64 = 9459463412922225902;
 
 #[test]
 fn icm_detects_text_flip_and_checkpoint_rollback_reaches_golden_state() {
-    let rec =
-        run_one_by_name("icm_loop", FaultModel::MemText, ICM_TEXT_SEED).expect("workload exists");
+    let rec = run_named("icm_loop", FaultModel::MemText, ICM_TEXT_SEED);
     assert!(
         matches!(rec.outcome, Outcome::DetectedByModule(_)),
         "fault must be detected, got {}",
@@ -50,16 +65,14 @@ fn transient_fetch_fault_is_detected_and_healed_by_flush_refetch() {
     // A transient fetch-latch flip is also detected by the ICM, but the
     // flush + refetch path heals it inline: the re-executed golden
     // state is reached without external rollback.
-    let rec = run_one_by_name("icm_loop", FaultModel::FetchWord, 10054044860165962238)
-        .expect("workload exists");
+    let rec = run_named("icm_loop", FaultModel::FetchWord, 10054044860165962238);
     assert_eq!(rec.outcome.tag(), "detected:ICM");
     assert_eq!(rec.recovery.tag(), "recovered:flush-refetch");
 }
 
 #[test]
 fn ddt_detects_canary_corruption_and_rolls_shared_page_back() {
-    let rec = run_one_by_name("ddt_recover", FaultModel::MemData, DDT_CANARY_SEED)
-        .expect("workload exists");
+    let rec = run_named("ddt_recover", FaultModel::MemData, DDT_CANARY_SEED);
     assert_eq!(
         rec.outcome.tag(),
         "detected:DDT",
@@ -76,15 +89,15 @@ fn ddt_detects_canary_corruption_and_rolls_shared_page_back() {
 
 #[test]
 fn records_replay_bit_identically() {
-    let a = run_one_by_name("icm_loop", FaultModel::MemText, ICM_TEXT_SEED).unwrap();
-    let b = run_one_by_name("icm_loop", FaultModel::MemText, ICM_TEXT_SEED).unwrap();
+    let a = run_named("icm_loop", FaultModel::MemText, ICM_TEXT_SEED);
+    let b = run_named("icm_loop", FaultModel::MemText, ICM_TEXT_SEED);
     assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
 fn control_runs_reach_golden_state_untouched() {
     for name in ["alu_loop", "mem_checksum", "icm_loop", "ddt_recover"] {
-        let rec = run_one_by_name(name, FaultModel::Control, 1).unwrap();
+        let rec = run_named(name, FaultModel::Control, 1);
         assert_eq!(rec.outcome.tag(), "masked", "{name} control run");
         assert_eq!(rec.recovery.tag(), "not-needed", "{name} control run");
         assert_eq!(rec.faults, "none");
