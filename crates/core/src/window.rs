@@ -2,105 +2,206 @@
 //! [`RobId`].
 //!
 //! The paper indexes every input queue and IOQ entry by reorder-buffer
-//! entry number (§3.1). A [`RobWindow`] is the software analogue: a
-//! deque kept sorted by `RobId`. Dispatch allocates ids in ascending
-//! order, so an insert is a push at the back; commit frees the oldest
-//! entry and a squash the youngest, so most removals touch an end.
-//! Lookups binary-search. Iteration is in ROB order for free, and once
-//! the deque has grown to the in-flight peak no operation allocates.
+//! entry number (§3.1). A [`RobWindow`] is the software analogue: a ring
+//! of slots indexed by `id & mask` that spans the ids from the oldest
+//! live entry to the youngest. Dispatch allocates ids in ascending
+//! order, so an insert extends the span at the top; commit frees the
+//! oldest entry and a squash the youngest, and the span shrinks to its
+//! live ends; an out-of-order execute write lands in a slot already
+//! spanned. Each of these is a constant-time slot access, and iteration
+//! walks the span in ROB order.
 //!
-//! A direct map (`rob % capacity`) is not enough: squashes leave holes,
-//! so the live ids can span more than `capacity` (say 1..5 plus 11..21).
-//! The window is a plain sorted map instead — inserts at any position
-//! and lookups of ids it never saw behave exactly as a map's would.
+//! A ring alone is not enough: squashes leave holes, so the live ids
+//! can span more than the live count (say 1..5 plus 11..21), and a gap
+//! can be arbitrarily wide (an engine reused by a new pipeline whose ids
+//! restart at 0 while the old run's stale entries remain). The ring
+//! doubles as its span grows, up to a fixed cap. An insert that would
+//! stretch the span past the cap moves the ring's entries to a sorted
+//! overflow map and restarts the span at the new id, so memory is
+//! bounded by the live count and the cap, never by the id span.
+//! Overflow keys always lie outside the span; the ring absorbs any the
+//! span grows over. Inserts at any position and lookups of ids the
+//! window never saw behave exactly as a map's would.
 
 use rse_pipeline::RobId;
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
+
+/// Fewest ids a span may cover before it spills.
+const MIN_SPAN: usize = 256;
+/// Most ids a span may cover before it spills.
+const MAX_SPAN: usize = 1 << 16;
 
 /// Per-instruction state keyed by [`RobId`], iterated in ROB order.
 #[derive(Debug, Clone)]
 pub struct RobWindow<T> {
-    entries: VecDeque<(RobId, T)>,
+    /// `slots[id & mask]` holds the entry of each live id in
+    /// `base..top`; every other slot is empty. The length is a power of
+    /// two no smaller than `top - base`.
+    slots: Vec<Option<T>>,
+    /// The span: empty when `base == top`, else live at both ends.
+    base: u64,
+    top: u64,
+    /// Live slots.
+    ring_live: usize,
+    /// Entries whose ids lie outside the span.
+    far: BTreeMap<u64, T>,
+    /// Most ids the span may cover, a power of two.
+    span_cap: u64,
     limit: usize,
 }
 
 impl<T> RobWindow<T> {
-    /// A window holding at most `limit` live entries, with room for all
-    /// of them reserved up front.
+    /// A window holding at most `limit` live entries. Its ring starts
+    /// with a slot per entry and doubles while the in-flight span grows,
+    /// up to `4 × limit` ids (at least 256); a wider span spills to the
+    /// overflow map.
     pub fn new(limit: usize) -> RobWindow<T> {
-        RobWindow {
-            entries: VecDeque::with_capacity(limit),
-            limit,
-        }
+        RobWindow::with_limit(limit, limit)
     }
 
-    /// A window with no entry limit and room for `reserve` entries
-    /// reserved up front. It grows past `reserve` only if entries are
-    /// never freed (an engine reused across runs whose last instructions
-    /// never retired).
+    /// A window with no entry limit whose ring starts with `reserve`
+    /// slots and grows like [`RobWindow::new`]'s. Entries that are never
+    /// freed (an engine reused across runs whose last instructions never
+    /// retired) end up in the overflow map.
     pub fn unbounded(reserve: usize) -> RobWindow<T> {
+        RobWindow::with_limit(usize::MAX, reserve)
+    }
+
+    fn with_limit(limit: usize, reserve: usize) -> RobWindow<T> {
+        let span_cap = reserve.saturating_mul(4).clamp(MIN_SPAN, MAX_SPAN);
+        let slots = reserve.clamp(1, span_cap).next_power_of_two();
         RobWindow {
-            entries: VecDeque::with_capacity(reserve),
-            limit: usize::MAX,
+            slots: std::iter::repeat_with(|| None).take(slots).collect(),
+            base: 0,
+            top: 0,
+            ring_live: 0,
+            far: BTreeMap::new(),
+            span_cap: span_cap.next_power_of_two() as u64,
+            limit,
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ring_live + self.far.len()
     }
 
     /// Whether the window holds no entry.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// `Ok(index)` of `rob`, or `Err(index)` where it would be inserted.
-    /// The ends are tried first: dispatch appends, commit and the commit
-    /// gate touch the oldest entry, a squash the youngest.
-    fn search(&self, rob: RobId) -> Result<usize, usize> {
-        let (Some(&(oldest, _)), Some(&(youngest, _))) =
-            (self.entries.front(), self.entries.back())
-        else {
-            return Err(0);
-        };
-        if rob <= oldest {
-            return if rob == oldest { Ok(0) } else { Err(0) };
-        }
-        let n = self.entries.len();
-        if rob >= youngest {
-            return if rob == youngest { Ok(n - 1) } else { Err(n) };
-        }
-        self.entries.binary_search_by_key(&rob, |&(r, _)| r)
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// The ring slot of `rob`, if the span covers it.
+    fn slot(&self, rob: RobId) -> Option<usize> {
+        let spanned = rob.0.wrapping_sub(self.base) < self.top - self.base;
+        spanned.then_some(rob.0 as usize & self.mask())
     }
 
     /// The entry for `rob`.
     pub fn get(&self, rob: RobId) -> Option<&T> {
-        let i = self.search(rob).ok()?;
-        Some(&self.entries[i].1)
+        match self.slot(rob) {
+            Some(i) => self.slots[i].as_ref(),
+            None if self.far.is_empty() => None,
+            None => self.far.get(&rob.0),
+        }
     }
 
     /// The entry for `rob`, mutably.
     pub fn get_mut(&mut self, rob: RobId) -> Option<&mut T> {
-        let i = self.search(rob).ok()?;
-        Some(&mut self.entries[i].1)
+        match self.slot(rob) {
+            Some(i) => self.slots[i].as_mut(),
+            None if self.far.is_empty() => None,
+            None => self.far.get_mut(&rob.0),
+        }
     }
 
     /// Whether `rob` has an entry.
     pub fn contains(&self, rob: RobId) -> bool {
-        self.search(rob).is_ok()
+        self.get(rob).is_some()
     }
 
     /// Writes the entry for `rob`, returning the one it replaced. A new
     /// id when the window is full is refused: `Err` hands the value back.
     pub fn try_insert(&mut self, rob: RobId, value: T) -> Result<Option<T>, T> {
-        match self.search(rob) {
-            Ok(i) => Ok(Some(std::mem::replace(&mut self.entries[i].1, value))),
-            Err(_) if self.entries.len() >= self.limit => Err(value),
-            Err(i) => {
-                self.entries.insert(i, (rob, value));
-                Ok(None)
+        if let Some(old) = self.get_mut(rob) {
+            return Ok(Some(std::mem::replace(old, value)));
+        }
+        if self.len() >= self.limit {
+            return Err(value);
+        }
+        let i = match self.slot(rob) {
+            Some(i) => i,
+            None => self.span(rob.0),
+        };
+        self.slots[i] = Some(value);
+        self.ring_live += 1;
+        Ok(None)
+    }
+
+    /// Stretches the span over `id`, which it does not cover yet, and
+    /// returns its slot. Past the span cap the ring's entries move to
+    /// `far` and the span restarts at `id`.
+    fn span(&mut self, id: u64) -> usize {
+        let (mut lo, mut hi) = if self.base == self.top {
+            (id, id + 1)
+        } else {
+            (self.base.min(id), self.top.max(id + 1))
+        };
+        if hi - lo > self.span_cap {
+            let mask = self.mask();
+            for old in self.base..self.top {
+                if let Some(v) = self.slots[old as usize & mask].take() {
+                    self.far.insert(old, v);
+                }
             }
+            self.ring_live = 0;
+            (lo, hi) = (id, id + 1);
+            self.top = self.base;
+        }
+        if hi - lo > self.slots.len() as u64 {
+            self.regrow((hi - lo).next_power_of_two() as usize);
+        }
+        let (old_base, old_top) = if self.base == self.top {
+            (hi, hi)
+        } else {
+            (self.base, self.top)
+        };
+        (self.base, self.top) = (lo, hi);
+        // Keep `far` outside the span: absorb what it grew over.
+        if !self.far.is_empty() {
+            for (from, to) in [(lo, old_base), (old_top, hi)] {
+                while let Some((&k, _)) = self.far.range(from..to).next() {
+                    let i = k as usize & self.mask();
+                    self.slots[i] = self.far.remove(&k);
+                    self.ring_live += 1;
+                }
+            }
+        }
+        id as usize & self.mask()
+    }
+
+    /// Moves the live entries into a ring of `len` slots.
+    fn regrow(&mut self, len: usize) {
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(len).collect();
+        let old_mask = self.mask();
+        for id in self.base..self.top {
+            slots[id as usize & (len - 1)] = self.slots[id as usize & old_mask].take();
+        }
+        self.slots = slots;
+    }
+
+    /// Shrinks the span to its live ends.
+    fn trim(&mut self) {
+        let mask = self.mask();
+        while self.base < self.top && self.slots[self.base as usize & mask].is_none() {
+            self.base += 1;
+        }
+        while self.top > self.base && self.slots[(self.top - 1) as usize & mask].is_none() {
+            self.top -= 1;
         }
     }
 
@@ -121,19 +222,42 @@ impl<T> RobWindow<T> {
 
     /// Frees the entry for `rob`.
     pub fn remove(&mut self, rob: RobId) -> Option<T> {
-        let i = self.search(rob).ok()?;
-        self.entries.remove(i).map(|(_, v)| v)
+        match self.slot(rob) {
+            Some(i) => {
+                let value = self.slots[i].take()?;
+                self.ring_live -= 1;
+                self.trim();
+                Some(value)
+            }
+            None if self.far.is_empty() => None,
+            None => self.far.remove(&rob.0),
+        }
     }
 
     /// `(rob, entry)` pairs in ascending ROB order.
     pub fn iter(&self) -> impl Iterator<Item = (RobId, &T)> + '_ {
-        self.entries.iter().map(|(rob, v)| (*rob, v))
+        let mask = self.mask();
+        let ring = (self.base..self.top)
+            .filter_map(move |id| Some((RobId(id), self.slots[id as usize & mask].as_ref()?)));
+        let far = |(&k, v)| (RobId(k), v);
+        let below = self.far.range(..self.base).map(far);
+        below.chain(ring).chain(self.far.range(self.top..).map(far))
     }
 
     /// Keeps only the entries for which `keep` returns `true`, visiting
     /// them in ascending ROB order.
     pub fn retain(&mut self, mut keep: impl FnMut(RobId, &mut T) -> bool) {
-        self.entries.retain_mut(|(rob, v)| keep(*rob, v));
+        let (base, top, mask) = (self.base, self.top, self.mask());
+        self.far.retain(|&k, v| k >= base || keep(RobId(k), v));
+        for id in base..top {
+            let slot = &mut self.slots[id as usize & mask];
+            if slot.as_mut().is_some_and(|v| !keep(RobId(id), v)) {
+                *slot = None;
+                self.ring_live -= 1;
+            }
+        }
+        self.far.retain(|&k, v| k < top || keep(RobId(k), v));
+        self.trim();
     }
 }
 

@@ -334,6 +334,7 @@ fn layout_pass(
                 SectionKind::Text => &mut text_pc,
                 SectionKind::Data => &mut data_pc,
             };
+            let at = |next: Option<u32>| next.ok_or_else(|| past_address_space(line.no));
             match item {
                 Item::Label(name) => {
                     if symbols.insert(name.clone(), *pc).is_some() {
@@ -341,13 +342,13 @@ fn layout_pass(
                     }
                 }
                 Item::Section(kind) => section = *kind,
-                Item::Word(vs) => *pc = align_to(*pc, 4) + 4 * vs.len() as u32,
-                Item::Half(vs) => *pc = align_to(*pc, 2) + 2 * vs.len() as u32,
-                Item::Byte(vs) => *pc += vs.len() as u32,
-                Item::Space(n) => *pc += n,
-                Item::Align(n) if *n > 0 => *pc = align_to(*pc, *n),
+                Item::Word(vs) => *pc = at(advance(align_to(*pc, 4), 4, vs.len()))?,
+                Item::Half(vs) => *pc = at(advance(align_to(*pc, 2), 2, vs.len()))?,
+                Item::Byte(vs) => *pc = at(advance(Some(*pc), 1, vs.len()))?,
+                Item::Space(n) => *pc = at(pc.checked_add(*n))?,
+                Item::Align(n) if *n > 0 => *pc = at(align_to(*pc, *n))?,
                 Item::Align(_) => {}
-                Item::Asciiz(s) => *pc += s.len() as u32 + 1,
+                Item::Asciiz(s) => *pc = at(advance(Some(*pc), 1, s.len() + 1))?,
                 Item::Inst {
                     mnemonic,
                     operands,
@@ -358,7 +359,7 @@ fn layout_pass(
                     }
                     let words = inst_words(mnemonic, operands)
                         .ok_or_else(|| err(*no, format!("unknown mnemonic `{mnemonic}`")))?;
-                    *pc += words * INST_BYTES;
+                    *pc = at(pc.checked_add(words * INST_BYTES))?;
                 }
             }
         }
@@ -366,8 +367,23 @@ fn layout_pass(
     Ok(symbols)
 }
 
-fn align_to(v: u32, align: u32) -> u32 {
-    v.div_ceil(align) * align
+/// `pc + count * size`, or `None` past the end of the 32-bit address
+/// space.
+fn advance(pc: Option<u32>, size: u32, count: usize) -> Option<u32> {
+    u32::try_from(count)
+        .ok()?
+        .checked_mul(size)?
+        .checked_add(pc?)
+}
+
+/// `v` rounded up to a multiple of `align`, or `None` past the end of the
+/// 32-bit address space.
+fn align_to(v: u32, align: u32) -> Option<u32> {
+    v.div_ceil(align).checked_mul(align)
+}
+
+fn past_address_space(line: usize) -> AsmError {
+    err(line, "section runs past the 32-bit address space")
 }
 
 struct Emitter<'a> {
@@ -444,6 +460,7 @@ fn emit_pass(
     };
     let mut section = SectionKind::Text;
     for line in lines {
+        let past = || past_address_space(line.no);
         for item in &line.items {
             match item {
                 Item::Label(_) => {}
@@ -474,13 +491,12 @@ fn emit_pass(
                 Item::Space(n) => e.data.extend(std::iter::repeat_n(0, *n as usize)),
                 Item::Align(n) if *n > 0 => match section {
                     SectionKind::Data => {
-                        let target = align_to(data_base + e.data.len() as u32, *n);
-                        while data_base + (e.data.len() as u32) < target {
-                            e.data.push(0);
-                        }
+                        let end = advance(Some(data_base), 1, e.data.len());
+                        let target = align_to(end.ok_or_else(past)?, *n).ok_or_else(past)?;
+                        e.data.resize((target - data_base) as usize, 0);
                     }
                     SectionKind::Text => {
-                        let target = align_to(e.text_pc(), *n);
+                        let target = align_to(e.text_pc(), *n).ok_or_else(past)?;
                         while e.text_pc() < target {
                             e.push(Inst::Nop);
                         }
@@ -1049,5 +1065,21 @@ mod tests {
         "#);
         assert_eq!(img.symbol("b").unwrap() % 4, 0);
         assert_eq!(img.symbol("b").unwrap(), img.data_base + 4);
+    }
+
+    #[test]
+    fn space_past_the_address_space_is_an_error() {
+        let e = assemble(".data\nx: .space 4294967295").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.msg.contains("address space"), "{e}");
+        let e = assemble(".data\n.space 3000000000\n.space 3000000000").unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.msg.contains("address space"), "{e}");
+    }
+
+    #[test]
+    fn align_past_the_address_space_is_an_error() {
+        let e = assemble_at(".data\n.byte 1\n.align 4096", 0, 0xFFFF_F000).unwrap_err();
+        assert_eq!(e.line, 3);
     }
 }

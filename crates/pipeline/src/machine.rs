@@ -24,6 +24,7 @@ use crate::stats::PipelineStats;
 use rse_isa::{decode, encode, layout, Image, Inst, InstClass, Reg};
 use rse_mem::{AccessKind, MemorySystem};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// A saved execution context (per-thread state for the guest OS).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +179,15 @@ struct RobEntry {
     injected: bool,
     state: EntryState,
     complete_at: u64,
-    deps: [Option<RobId>; 2],
+    /// Source operands whose in-flight producer has not written back.
+    /// The entry may issue once this reaches 0.
+    waiting: u8,
+    /// Head of this entry's wakeup list: the youngest consumer still
+    /// waiting on its result. The list runs from younger to older.
+    consumers: Option<Link>,
+    /// Per operand, the next consumer in the wakeup list of the producer
+    /// that operand waits on.
+    next_consumer: [Option<Link>; 2],
     operands: [u32; 2],
     result: u32,
     eff_addr: Option<u32>,
@@ -187,6 +196,27 @@ struct RobEntry {
     mispredicted: bool,
     actual_next: u32,
     taken: bool,
+}
+
+/// A wakeup-list link: a waiting consumer's sequence number and which of
+/// its operands waits. Stored off by one in a `NonZeroU64`, so that
+/// `Option<Link>` takes eight bytes and a `RobEntry` stays small enough
+/// to be moved without a `memcpy` call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link(NonZeroU64);
+
+impl Link {
+    fn new(seq: u64, operand: usize) -> Link {
+        Link(NonZeroU64::MIN.saturating_add(seq << 1 | operand as u64))
+    }
+
+    fn seq(self) -> u64 {
+        (self.0.get() - 1) >> 1
+    }
+
+    fn operand(self) -> usize {
+        ((self.0.get() - 1) & 1) as usize
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -224,6 +254,18 @@ pub struct Pipeline {
     frontend_enabled: bool,
     fetch_queue: VecDeque<FetchedInst>,
     rob: VecDeque<RobEntry>,
+    /// Sequence number of the oldest ROB entry. Entry `i` has sequence
+    /// number `rob_head_seq + i`; unlike its `RobId`, that number is
+    /// dense, so it addresses the entry in constant time.
+    rob_head_seq: u64,
+    /// The register alias table: per register, the sequence number of the
+    /// youngest in-flight instruction writing it. Dispatch sets it and a
+    /// squash rebuilds it from the survivors. A commit needs no update:
+    /// entries below `rob_head_seq` have committed and read as no
+    /// producer, so a drained ROB leaves the whole table reset.
+    rename: [Option<u64>; 32],
+    /// Memory instructions in the ROB (the LSQ occupancy).
+    lsq_used: usize,
     next_id: u64,
     now: u64,
     wrong_path_mode: bool,
@@ -258,6 +300,9 @@ impl Pipeline {
             frontend_enabled: true,
             fetch_queue: VecDeque::new(),
             rob: VecDeque::new(),
+            rob_head_seq: 0,
+            rename: [None; 32],
+            lsq_used: 0,
             next_id: 0,
             now: 0,
             wrong_path_mode: false,
@@ -594,6 +639,8 @@ impl Pipeline {
                 }
             }
             let entry = self.rob.pop_front().expect("head exists");
+            self.rob_head_seq += 1;
+            self.lsq_used -= usize::from(entry.inst.class().is_mem());
             if let Some(ev) = self.retire(cp, entry) {
                 return Some(ev);
             }
@@ -667,10 +714,7 @@ impl Pipeline {
     /// Squashes every in-flight instruction and resets speculative state
     /// to architectural state.
     fn flush_all(&mut self, cp: &mut dyn CoProcessor) {
-        while let Some(e) = self.rob.pop_back() {
-            self.stats.squashed += 1;
-            cp.on_squash(self.now, e.id, &mut self.mem);
-        }
+        self.squash_from(0, cp);
         self.fetch_queue.clear();
         self.pending_ifetch = None;
         self.chk_injected_for = None;
@@ -687,6 +731,7 @@ impl Pipeline {
             let e = &mut self.rob[idx];
             if e.state == EntryState::Issued && e.complete_at <= self.now {
                 e.state = EntryState::Done;
+                let mispredicted = !e.wrong_path && e.mispredicted;
                 if !e.wrong_path {
                     let info = ExecuteInfo {
                         rob: e.id,
@@ -695,20 +740,17 @@ impl Pipeline {
                         loaded: e.loaded,
                     };
                     cp.on_execute(self.now, &info, &mut self.mem);
-                    if e.mispredicted {
-                        recover = Some(idx);
-                        break;
-                    }
+                }
+                self.wake_consumers(idx);
+                if mispredicted {
+                    recover = Some(idx);
+                    break;
                 }
             }
         }
         if let Some(idx) = recover {
             let target = self.rob[idx].actual_next;
-            while self.rob.len() > idx + 1 {
-                let e = self.rob.pop_back().expect("len checked");
-                self.stats.squashed += 1;
-                cp.on_squash(self.now, e.id, &mut self.mem);
-            }
+            self.squash_from(idx + 1, cp);
             self.fetch_queue.clear();
             self.pending_ifetch = None;
             self.chk_injected_for = None;
@@ -717,35 +759,65 @@ impl Pipeline {
         }
     }
 
-    // --- issue ----------------------------------------------------------
+    // --- in-flight bookkeeping ------------------------------------------
 
-    fn deps_ready(&self, deps: &[Option<RobId>; 2]) -> bool {
-        deps.iter().flatten().all(|dep| {
-            self.rob
-                .iter()
-                .find(|e| e.id == *dep)
-                .is_none_or(|e| e.state == EntryState::Done)
-        })
+    /// The ROB entry with sequence number `seq`, which must be in flight.
+    fn entry_mut(&mut self, seq: u64) -> &mut RobEntry {
+        &mut self.rob[(seq - self.rob_head_seq) as usize]
     }
+
+    /// Marks the consumers waiting on entry `idx` ready for that operand:
+    /// the producer has just written back.
+    fn wake_consumers(&mut self, idx: usize) {
+        let mut link = self.rob[idx].consumers.take();
+        while let Some(l) = link {
+            let c = self.entry_mut(l.seq());
+            c.waiting -= 1;
+            link = c.next_consumer[l.operand()].take();
+        }
+    }
+
+    /// Squashes every ROB entry from index `keep` on. The squashed
+    /// consumers are the youngest, so they head the wakeup lists of the
+    /// survivors and are cut off the front; the register alias table is
+    /// rebuilt from the survivors.
+    fn squash_from(&mut self, keep: usize, cp: &mut dyn CoProcessor) {
+        let cut = self.rob_head_seq + keep as u64;
+        self.rename = [None; 32];
+        for seq in self.rob_head_seq..cut {
+            while let Some(l) = self.entry_mut(seq).consumers.filter(|l| l.seq() >= cut) {
+                let next = self.entry_mut(l.seq()).next_consumer[l.operand()];
+                self.entry_mut(seq).consumers = next;
+            }
+            if let Some(dest) = self.entry_mut(seq).inst.dest() {
+                self.rename[dest.index()] = Some(seq);
+            }
+        }
+        while self.rob.len() > keep {
+            let e = self.rob.pop_back().expect("len checked");
+            self.lsq_used -= usize::from(e.inst.class().is_mem());
+            self.stats.squashed += 1;
+            cp.on_squash(self.now, e.id, &mut self.mem);
+        }
+    }
+
+    // --- issue ----------------------------------------------------------
 
     fn issue_stage(&mut self) {
         let mut alu_used = 0usize;
         let mut mem_used = 0usize;
         let mut issued = 0usize;
-        let mut chosen: Vec<(usize, u64)> = Vec::new();
-        let mut mul_busy = self.mul_busy_until;
-        for idx in 0..self.rob.len() {
+        let now = self.now;
+        for e in self.rob.iter_mut() {
             if issued >= self.config.issue_width {
                 break;
             }
-            let e = &self.rob[idx];
-            if e.state != EntryState::Dispatched || !self.deps_ready(&e.deps) {
+            if e.state != EntryState::Dispatched || e.waiting > 0 {
                 continue;
             }
-            let class = e.inst.class();
-            let complete_at = match class {
+            let complete_at = match e.inst.class() {
                 InstClass::MulDiv => {
-                    if mul_busy > self.now {
+                    if self.mul_busy_until > now {
                         continue; // non-pipelined unit busy
                     }
                     let latency = if matches!(e.inst, Inst::Mul { .. }) {
@@ -753,8 +825,8 @@ impl Pipeline {
                     } else {
                         self.config.div_latency
                     };
-                    mul_busy = self.now + latency;
-                    mul_busy
+                    self.mul_busy_until = now + latency;
+                    self.mul_busy_until
                 }
                 InstClass::Load => {
                     if mem_used >= self.config.mem_ports {
@@ -762,15 +834,11 @@ impl Pipeline {
                     }
                     mem_used += 1;
                     if e.wrong_path {
-                        self.now + 1
+                        now + 1
                     } else {
-                        let addr = e.eff_addr.expect("load has an address");
                         // AGEN takes one cycle, then the D-cache access.
-                        let addr_ready = self.now + 1;
-                        // NOTE: the cache access happens in the apply loop
-                        // below to keep borrows disjoint; store addr here.
-                        let _ = addr;
-                        addr_ready // patched below
+                        let addr = e.eff_addr.expect("load has an address");
+                        self.mem.access(now + 1, addr, AccessKind::Load)
                     }
                 }
                 InstClass::Store => {
@@ -778,49 +846,23 @@ impl Pipeline {
                         continue;
                     }
                     mem_used += 1;
-                    self.now + 1 // AGEN only; data written at commit
+                    now + 1 // AGEN only; data written at commit
                 }
                 _ => {
                     if alu_used >= self.config.int_alus {
                         continue;
                     }
                     alu_used += 1;
-                    self.now + 1
+                    now + 1
                 }
             };
             issued += 1;
-            chosen.push((idx, complete_at));
-        }
-        self.mul_busy_until = mul_busy;
-        for (idx, mut complete_at) in chosen {
-            // Correct-path loads access the D-cache at issue.
-            let (is_load, wrong_path, addr) = {
-                let e = &self.rob[idx];
-                (e.inst.class() == InstClass::Load, e.wrong_path, e.eff_addr)
-            };
-            if is_load && !wrong_path {
-                let addr = addr.expect("load has an address");
-                complete_at = self.mem.access(self.now + 1, addr, AccessKind::Load);
-            }
-            let e = &mut self.rob[idx];
             e.state = EntryState::Issued;
-            e.complete_at = complete_at.max(self.now + 1);
+            e.complete_at = complete_at.max(now + 1);
         }
     }
 
     // --- dispatch -------------------------------------------------------
-
-    fn lsq_count(&self) -> usize {
-        self.rob.iter().filter(|e| e.inst.class().is_mem()).count()
-    }
-
-    fn find_producer(&self, reg: Reg) -> Option<RobId> {
-        self.rob
-            .iter()
-            .rev()
-            .find(|e| e.inst.dest() == Some(reg))
-            .map(|e| e.id)
-    }
 
     /// Reads `width` bytes at `addr` with store-to-load forwarding from
     /// older in-flight (correct-path) stores.
@@ -857,7 +899,7 @@ impl Pipeline {
             let Some(front) = self.fetch_queue.front() else {
                 break;
             };
-            if front.inst.class().is_mem() && self.lsq_count() >= self.config.lsq_size {
+            if front.inst.class().is_mem() && self.lsq_used >= self.config.lsq_size {
                 break;
             }
             let f = self.fetch_queue.pop_front().expect("front exists");
@@ -873,7 +915,9 @@ impl Pipeline {
                 injected: f.injected,
                 state: EntryState::Dispatched,
                 complete_at: 0,
-                deps: [None, None],
+                waiting: 0,
+                consumers: None,
+                next_consumer: [None, None],
                 operands: [0, 0],
                 result: 0,
                 eff_addr: None,
@@ -883,12 +927,23 @@ impl Pipeline {
                 actual_next: f.pc.wrapping_add(4),
                 taken: false,
             };
-            // Timing dependencies on in-flight producers.
-            let sources = entry.inst.sources();
-            for (slot, src) in sources.iter().enumerate() {
-                if let Some(reg) = src {
-                    entry.deps[slot] = self.find_producer(*reg);
+            // Timing dependencies on in-flight producers: wait on each one
+            // that has not written back, hooked into its wakeup list.
+            let seq = self.rob_head_seq + self.rob.len() as u64;
+            for (operand, src) in entry.inst.sources().into_iter().enumerate() {
+                let producer = src.and_then(|reg| self.rename[reg.index()]);
+                let Some(p) = producer.filter(|&p| p >= self.rob_head_seq) else {
+                    continue;
+                };
+                let producer = self.entry_mut(p);
+                if producer.state == EntryState::Done {
+                    continue;
                 }
+                entry.next_consumer[operand] = producer.consumers.replace(Link::new(seq, operand));
+                entry.waiting += 1;
+            }
+            if let Some(dest) = entry.inst.dest() {
+                self.rename[dest.index()] = Some(seq);
             }
             if !wrong_path {
                 self.exec_functional(&mut entry, &f);
@@ -904,6 +959,7 @@ impl Pipeline {
             };
             let mispredicted = entry.mispredicted;
             let class = entry.inst.class();
+            self.lsq_used += usize::from(class.is_mem());
             self.rob.push_back(entry);
             self.stats.dispatched += 1;
             cp.on_dispatch(self.now, &info, &mut self.mem);
@@ -1217,6 +1273,23 @@ mod tests {
         );
         assert_eq!(cpu.regs()[10], 42);
         assert_eq!(cpu.stats().committed, 4);
+    }
+
+    /// A pointer chase through DRAM misses with a mispredicted branch
+    /// between each load and the add that consumes it. The consumer is
+    /// dispatched after the squash, while the load still waits on DRAM,
+    /// so it must still find the load as its producer; if a squash lost
+    /// the surviving producers, the next miss would issue early and
+    /// overlap this one. The cycle count is the timing model's figure.
+    #[test]
+    fn squash_keeps_waiting_on_surviving_producers() {
+        let src = "main: la r13, buf\nli r8, 0\nli r10, 40\n\
+                   loop: lw r12, 0(r13)\nandi r11, r8, 1\nbeq r11, r0, even\n\
+                   addi r9, r9, 1\neven: add r13, r13, r12\naddi r13, r13, 4096\n\
+                   addi r8, r8, 1\nbne r8, r10, loop\nhalt\n.data\nbuf: .space 4";
+        let cpu = run_program(src);
+        assert!(cpu.stats().mispredicts >= 40);
+        assert_eq!(cpu.stats().cycles, 1432);
     }
 
     #[test]

@@ -171,6 +171,16 @@ pub fn op_strategy() -> impl Strategy<Value = Op> {
 /// final architectural state: registers, the scratch buffer, and its
 /// base address.
 pub fn run_pipeline(image: &rse::isa::Image, with_engine: bool) -> ([u32; 32], Vec<u8>, u32) {
+    let cpu = run_pipeline_to_halt(image, with_engine);
+    let scratch_base = image.symbol("scratch").unwrap();
+    let mut scratch = vec![0u8; 256];
+    cpu.mem().memory.read_bytes(scratch_base, &mut scratch);
+    (*cpu.regs(), scratch, scratch_base)
+}
+
+/// Runs `image` to its halt as [`run_pipeline`] does and returns the
+/// halted pipeline, whose counters the timing pin reads.
+pub fn run_pipeline_to_halt(image: &rse::isa::Image, with_engine: bool) -> Pipeline {
     let (mem, pipe) = if with_engine {
         (
             MemConfig::with_framework(),
@@ -191,10 +201,7 @@ pub fn run_pipeline(image: &rse::isa::Image, with_engine: bool) -> ([u32; 32], V
         cpu.run(&mut NullCoProcessor, 50_000_000)
     };
     assert_eq!(ev, StepEvent::Halted, "pipeline must halt");
-    let scratch_base = image.symbol("scratch").unwrap();
-    let mut scratch = vec![0u8; 256];
-    cpu.mem().memory.read_bytes(scratch_base, &mut scratch);
-    (*cpu.regs(), scratch, scratch_base)
+    cpu
 }
 
 /// Runs `image` on the golden in-order interpreter and returns

@@ -1,22 +1,19 @@
-//! The engine allocates nothing per simulated cycle once warm.
+//! No simulated cycle allocates once warm, pipeline and engine alike.
 //!
 //! A counting global allocator tallies the heap allocations made inside
-//! the engine's `CoProcessor` callbacks, which a wrapper calls directly
-//! on an `Engine` running the campaign ICM harness: ICM-checked control
-//! flow (`CheckPolicy::ControlFlow`) with the ICM, MLR and AHBM enabled.
-//! A DRAM-bound load stalls commit, so the ROB, the input queues and the
-//! IOQ run full. After a warm-up the callbacks of 10k ticks must not
-//! allocate at all; the pipeline's own allocations are not counted.
+//! `Pipeline::step`, which covers every pipeline stage and every engine
+//! callback. Two harnesses run: the Baseline machine (an engine with no
+//! module) and the campaign ICM harness, ICM-checked control flow
+//! (`CheckPolicy::ControlFlow`) with the ICM, MLR and AHBM enabled. A
+//! DRAM-bound load stalls commit, so the ROB, the input queues and the
+//! IOQ run full. After a warm-up, 10k cycles must not allocate at all.
 
 use rse::core::{Engine, RseConfig};
 use rse::isa::asm::assemble;
 use rse::isa::ModuleId;
 use rse::mem::{MemConfig, MemorySystem};
 use rse::modules::{Ahbm, AhbmConfig, Icm, IcmConfig, Mlr, MlrConfig};
-use rse::pipeline::{
-    CheckPolicy, CoProcessor, CommitGate, CoprocException, DispatchInfo, ExecuteInfo, Pipeline,
-    PipelineConfig, RobId, StepEvent,
-};
+use rse::pipeline::{CheckPolicy, Pipeline, PipelineConfig, StepEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -69,58 +66,44 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const WARMUP_TICKS: u64 = 4_000;
-const MEASURED_TICKS: u64 = 10_000;
+const WARMUP_CYCLES: u64 = 4_000;
+const MEASURED_CYCLES: u64 = 10_000;
 
-/// Forwards every callback to the engine, counting the allocations the
-/// engine makes inside the measured window of ticks.
+/// What a metered run saw.
 struct Metered {
-    engine: Engine,
-    ticks: u64,
+    cycles: u64,
+    allocs: u64,
     peak_ioq: usize,
 }
 
-impl Metered {
-    fn call<R>(&mut self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        let measuring = (WARMUP_TICKS..WARMUP_TICKS + MEASURED_TICKS).contains(&self.ticks);
+/// Steps `cpu` to its halt, counting the allocations made inside the
+/// steps of the measured window of cycles.
+fn run_metered(cpu: &mut Pipeline, engine: &mut Engine) -> Metered {
+    let mut peak_ioq = 0;
+    let mut cycles = 0;
+    loop {
+        let measuring = (WARMUP_CYCLES..WARMUP_CYCLES + MEASURED_CYCLES).contains(&cycles);
         COUNTING.with(|on| on.set(measuring));
-        let r = f(&mut self.engine);
+        let event = cpu.step(engine);
         COUNTING.with(|on| on.set(false));
         if measuring {
-            self.peak_ioq = self.peak_ioq.max(self.engine.ioq().occupancy());
+            peak_ioq = peak_ioq.max(engine.ioq().occupancy());
         }
-        r
+        cycles += 1;
+        match event {
+            None => assert!(cycles < 10_000_000, "the guest did not halt"),
+            Some(StepEvent::Halted) => break,
+            Some(other) => panic!("unexpected {other:?}"),
+        }
     }
-}
-
-impl CoProcessor for Metered {
-    fn on_dispatch(&mut self, now: u64, info: &DispatchInfo, mem: &mut MemorySystem) {
-        self.call(|e| e.on_dispatch(now, info, mem));
-    }
-
-    fn on_execute(&mut self, now: u64, info: &ExecuteInfo, mem: &mut MemorySystem) {
-        self.call(|e| e.on_execute(now, info, mem));
-    }
-
-    fn on_commit(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
-        self.call(|e| e.on_commit(now, rob, mem));
-    }
-
-    fn on_squash(&mut self, now: u64, rob: RobId, mem: &mut MemorySystem) {
-        self.call(|e| e.on_squash(now, rob, mem));
-    }
-
-    fn commit_gate(&mut self, now: u64, rob: RobId) -> CommitGate {
-        self.call(|e| e.commit_gate(now, rob))
-    }
-
-    fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
-        self.call(|e| e.tick(now, mem));
-        self.ticks += 1;
-    }
-
-    fn take_exception(&mut self) -> Option<CoprocException> {
-        self.call(|e| e.take_exception())
+    assert!(
+        cycles >= WARMUP_CYCLES + MEASURED_CYCLES,
+        "the guest ran only {cycles} cycles"
+    );
+    Metered {
+        cycles,
+        allocs: ALLOCS.with(|n| n.replace(0)),
+        peak_ioq,
     }
 }
 
@@ -169,29 +152,39 @@ fn engine_callbacks_do_not_allocate_once_warm() {
     for id in [ModuleId::ICM, ModuleId::MLR, ModuleId::AHBM] {
         engine.enable(id);
     }
-    let mut metered = Metered {
-        engine,
-        ticks: 0,
-        peak_ioq: 0,
-    };
 
-    assert_eq!(cpu.run(&mut metered, 10_000_000), StepEvent::Halted);
+    let run = run_metered(&mut cpu, &mut engine);
     assert_eq!(cpu.regs()[9], 3000 * 5 + 3000 * 2);
-    assert!(
-        metered.ticks >= WARMUP_TICKS + MEASURED_TICKS,
-        "the guest ran only {} ticks",
-        metered.ticks
-    );
     assert_eq!(
-        metered.peak_ioq, config.queue_entries,
+        run.peak_ioq, config.queue_entries,
         "the IOQ never ran full in the measured window"
     );
-    let stats = metered.engine.stats();
+    let stats = engine.stats();
     assert!(stats.chk_blocking > 1000 && stats.flushes == 0);
     assert!(cpu.stats().squashed > 0, "the loop never mispredicted");
     assert_eq!(
-        ALLOCS.with(Cell::get),
-        0,
-        "engine callbacks allocated in {MEASURED_TICKS} steady-state ticks"
+        run.allocs, 0,
+        "pipeline steps allocated in {MEASURED_CYCLES} steady-state cycles of {}",
+        run.cycles
+    );
+}
+
+#[test]
+fn baseline_pipeline_steps_do_not_allocate_once_warm() {
+    let image = assemble(ICM_LOOP).expect("assembles");
+    let mut cpu = Pipeline::new(
+        PipelineConfig::default(),
+        MemorySystem::new(MemConfig::baseline()),
+    );
+    cpu.load_image(&image);
+    let mut engine = Engine::new(RseConfig::default());
+
+    let run = run_metered(&mut cpu, &mut engine);
+    assert_eq!(cpu.regs()[9], 3000 * 5 + 3000 * 2);
+    assert!(cpu.stats().squashed > 0, "the loop never mispredicted");
+    assert_eq!(
+        run.allocs, 0,
+        "pipeline steps allocated in {MEASURED_CYCLES} steady-state cycles of {}",
+        run.cycles
     );
 }

@@ -2,7 +2,7 @@
 //! committed under `tests/corpus/`, with their expected final
 //! architectural-state digests pinned in `tests/corpus/MANIFEST.txt`.
 //!
-//! Two guarantees, both independent of the randomized differential
+//! Three guarantees, all independent of the randomized differential
 //! harness:
 //!
 //! 1. **Golden stability** — the golden interpreter's final state for
@@ -14,17 +14,30 @@
 //!    every corpus program, so differential bugs reproduce from a plain
 //!    `cargo test golden_corpus` with no seeds involved.
 //!
+//! 3. **Timing stability** — every corpus program, run bare and with the
+//!    RSE + runtime CHECKs, reproduces the cycle-level counters pinned in
+//!    `tests/corpus/TIMING.txt`: the pipeline's cycles, committed,
+//!    fetched, dispatched, squashed, mispredicts and commit-stall cycles,
+//!    and the miss counts of the four caches. A host-side optimisation of
+//!    the simulator must leave every one of them unchanged.
+//!
 //! Regenerating after an *intentional* semantics change:
 //!
 //! ```text
 //! cargo test --test golden_corpus -- --ignored regenerate_corpus
 //! ```
 //!
+//! and after an intentional timing-model change:
+//!
+//! ```text
+//! cargo test --test golden_corpus -- --ignored regenerate_timing
+//! ```
+//!
 //! then review the diff under `tests/corpus/` and commit it.
 
 mod common;
 
-use common::{generate_program, run_golden, run_pipeline, state_digest};
+use common::{generate_program, run_golden, run_pipeline, run_pipeline_to_halt, state_digest};
 use rse::isa::asm::assemble;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -120,6 +133,80 @@ fn pipeline_matches_golden_on_corpus() {
             );
         }
     }
+}
+
+const TIMING_HEADER: &str = "\
+# Timing pin: <program> <bare|rse> cycles committed fetched dispatched squashed \
+mispredicts commit_stall_cycles il1_misses il2_misses dl1_misses dl2_misses
+# Regenerate: cargo test --test golden_corpus -- --ignored regenerate_timing
+";
+
+/// The pinned counters of one corpus program in one mode, as a
+/// `TIMING.txt` line.
+fn timing_line(name: &str, src: &str, with_engine: bool) -> String {
+    let image = assemble(src).unwrap_or_else(|e| panic!("{name} does not assemble: {e}"));
+    let cpu = run_pipeline_to_halt(&image, with_engine);
+    let p = cpu.stats();
+    let m = cpu.mem().stats();
+    format!(
+        "{name} {} {} {} {} {} {} {} {} {} {} {} {}",
+        if with_engine { "rse" } else { "bare" },
+        p.cycles,
+        p.committed,
+        p.fetched,
+        p.dispatched,
+        p.squashed,
+        p.mispredicts,
+        p.commit_stall_cycles,
+        m.il1.misses,
+        m.il2.misses,
+        m.dl1.misses,
+        m.dl2.misses,
+    )
+}
+
+/// Every manifest program in both modes, in manifest order.
+fn timing_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for (name, _) in read_manifest() {
+        let src = std::fs::read_to_string(corpus_dir().join(&name)).expect("corpus file reads");
+        for with_engine in [false, true] {
+            lines.push(timing_line(&name, &src, with_engine));
+        }
+    }
+    lines
+}
+
+/// Guarantee 3: the cycle-level counters match the timing pin.
+#[test]
+fn pipeline_timing_matches_pin() {
+    let text = std::fs::read_to_string(corpus_dir().join("TIMING.txt"))
+        .expect("tests/corpus/TIMING.txt exists (run the regenerate_timing test)");
+    let pinned: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+    let got = timing_lines();
+    assert_eq!(
+        pinned.len(),
+        got.len(),
+        "TIMING.txt covers a different corpus"
+    );
+    for (want, got) in pinned.iter().zip(&got) {
+        assert_eq!(
+            *want, got,
+            "cycle-level counters drifted (fields: see the TIMING.txt header)"
+        );
+    }
+}
+
+/// Writes `tests/corpus/TIMING.txt`. Run explicitly after an intentional
+/// timing-model change; review the diff before committing.
+#[test]
+#[ignore = "regenerates the committed timing pin; run explicitly"]
+fn regenerate_timing() {
+    let mut text = String::from(TIMING_HEADER);
+    for line in timing_lines() {
+        writeln!(text, "{line}").unwrap();
+    }
+    std::fs::write(corpus_dir().join("TIMING.txt"), text).unwrap();
 }
 
 /// Writes `tests/corpus/` from the fixed seeds. Run explicitly after an

@@ -5,7 +5,9 @@
 //! instructions), execute writes land out of order, commit frees the
 //! oldest entry and a squash the youngest few. Inserts of fresh ids in
 //! the middle (a module latching state at execute) and lookups of ids
-//! the window never held (an engine attached mid-run) are mixed in.
+//! the window never held (an engine attached mid-run) are mixed in, and
+//! so are squash gaps of 2^40 ids, which leave the small ids of the
+//! other ops far below the live ones.
 //! After every step the window must agree with the reference map on
 //! length, every lookup, and in-order iteration; a new id offered to a
 //! full window must be refused and leave it unchanged.
@@ -26,7 +28,7 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..6, 0u64..64, any::<u32>()).prop_map(|(kind, arg, value)| match kind {
+    (0u8..7, 0u64..64, any::<u32>()).prop_map(|(kind, arg, value)| match kind {
         0 => Op::Dispatch {
             gap: arg % 3,
             value,
@@ -40,7 +42,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => Op::SquashYoungest {
             count: 1 + arg as usize % 4,
         },
-        _ => Op::Lookup { id: arg },
+        5 => Op::Lookup { id: arg },
+        _ => Op::Dispatch {
+            gap: 1 << 40,
+            value,
+        },
     })
 }
 
@@ -141,5 +147,82 @@ fn insert_into_a_full_window_panics() {
     let mut w = RobWindow::new(16);
     for i in 0..17 {
         w.insert(RobId(i), ());
+    }
+}
+
+/// Drives `w` and `model` with the same insert.
+fn insert_both(w: &mut RobWindow<u32>, model: &mut BTreeMap<u64, u32>, id: u64, value: u32) {
+    assert_eq!(w.insert(RobId(id), value), model.insert(id, value));
+}
+
+/// Drives `w` and `model` with the same remove.
+fn remove_both(w: &mut RobWindow<u32>, model: &mut BTreeMap<u64, u32>, id: u64) {
+    assert_eq!(w.remove(RobId(id)), model.remove(&id));
+}
+
+/// A reused engine: the stale entries of an earlier run stay near id
+/// 10^6, never freed, while the new pipeline's ids restart at 0. The new
+/// run commits, squashes and writes out of order far below the oldest
+/// live id, and then grows into the stale ids.
+#[test]
+fn restarted_ids_far_below_stale_entries() {
+    let mut w = RobWindow::unbounded(16);
+    let mut model = BTreeMap::new();
+    for id in 1_000_000..1_000_012 {
+        insert_both(&mut w, &mut model, id, id as u32);
+    }
+    // Then the new run jumps to just below the stale ids and grows into
+    // them, leaving its own last entries behind near 2,000.
+    for id in (0..2_000).chain(999_990..1_000_030) {
+        if model.contains_key(&id) {
+            // A stale id: the new run overwrites it.
+            insert_both(&mut w, &mut model, id, 7);
+            continue;
+        }
+        insert_both(&mut w, &mut model, id, id as u32 ^ 1);
+        if id % 7 == 3 {
+            // Squash the youngest.
+            remove_both(&mut w, &mut model, id);
+        }
+        if id >= 5 {
+            // An out-of-order write to an older id, then commit the oldest.
+            insert_both(&mut w, &mut model, id - 2, 9);
+            remove_both(&mut w, &mut model, id - 5);
+        }
+        assert_agrees(&w, &model, id + 1);
+    }
+    assert_agrees(&w, &model, 0);
+}
+
+/// A squash gap of 2^40 ids between two live runs of entries: commit at
+/// the old end, dispatch and squash at the young end, execute writes to
+/// both. The window neither walks nor stores the gap.
+#[test]
+fn squash_gap_of_two_to_the_fortieth() {
+    const GAP: u64 = 1 << 40;
+    let mut w = RobWindow::new(16);
+    let mut model = BTreeMap::new();
+    for id in 100..108 {
+        insert_both(&mut w, &mut model, id, id as u32);
+    }
+    for id in GAP..GAP + 6 {
+        insert_both(&mut w, &mut model, id, id as u32);
+    }
+    assert_agrees(&w, &model, GAP / 2);
+    for round in 0..8u64 {
+        let old = 100 + round;
+        insert_both(&mut w, &mut model, old, 1);
+        remove_both(&mut w, &mut model, old);
+        let young = GAP + 6 + round;
+        insert_both(&mut w, &mut model, young, 2);
+        insert_both(&mut w, &mut model, young - 3, 3);
+        assert_agrees(&w, &model, young + 1);
+    }
+    // A second gap below the first: an execute write into a fresh id.
+    insert_both(&mut w, &mut model, 50, 4);
+    assert_agrees(&w, &model, 51);
+    for id in [GAP + 13, GAP + 12, 50] {
+        remove_both(&mut w, &mut model, id);
+        assert_agrees(&w, &model, id);
     }
 }
